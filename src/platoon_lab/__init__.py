@@ -16,7 +16,7 @@ from .platoon import (
     build_laplacian,
     dominance_certificate,
     fiedler_lower_bound,
-    reduce_laplacian,
+    laplacian_bands,
     spectrum,
     spectrum_report,
 )
@@ -27,6 +27,7 @@ from .analysis import (
     GammaPoint,
     HarmonicVerdict,
     block_stable,
+    build_state_space,
     direct_response,
     frequency_series,
     gamma_sequence,
@@ -40,7 +41,7 @@ from .analysis import (
     verify_eigen_identities,
     zeta_min,
 )
-from .sim import SimScenario, SineSignal, StepSignal, TimeSeries, build_state_space, dt_limit, simulate
+from .sim import SimScenario, SineSignal, StepSignal, TimeSeries, dt_limit, simulate
 
 __version__ = "0.1.0"
 
@@ -48,14 +49,13 @@ __all__ = [
     "Polynomial", "RationalTF", "poly_add_scaled", "poly_eval", "poly_mul",
     "poly_roots", "rtf_eval",
     "DominanceCertificate", "PlatoonConfig", "SpectrumReport", "build_laplacian",
-    "dominance_certificate", "fiedler_lower_bound", "reduce_laplacian",
+    "dominance_certificate", "fiedler_lower_bound", "laplacian_bands",
     "spectrum", "spectrum_report",
     "ThetaRoots", "closedform_eigenvalues", "solve_thetas",
     "Block", "FreqSeries", "GammaPoint", "HarmonicVerdict", "block_stable",
-    "direct_response", "frequency_series", "gamma_sequence", "harmonic_test",
-    "hinf_norm", "instantiate_family", "kappa_modulus_sq", "make_block",
+    "build_state_space", "direct_response", "frequency_series", "gamma_sequence",
+    "harmonic_test", "hinf_norm", "instantiate_family", "kappa_modulus_sq", "make_block",
     "open_loop", "product_response", "verify_eigen_identities", "zeta_min",
-    "SimScenario", "SineSignal", "StepSignal", "TimeSeries", "build_state_space",
-    "dt_limit", "simulate",
+    "SimScenario", "SineSignal", "StepSignal", "TimeSeries", "dt_limit", "simulate",
     "__version__",
 ]

@@ -31,7 +31,13 @@ from .numerics import (
     poly_roots,
     rtf_eval,
 )
-from .platoon import PlatoonConfig, spectrum_report
+from .platoon import (
+    PlatoonConfig,
+    build_laplacian,
+    laplacian_bands,
+    spectrum_report,
+    tridiagonal_matrix,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -129,17 +135,28 @@ def block_stable(b: Block) -> bool:
 
 @lru_cache(maxsize=128)
 def _prepared(cfg: PlatoonConfig):
-    """Spectrum, open loop, blocks, and a one-time stability check per config."""
+    """Spectrum, open loop and blocks of a config, with one pole solve per block.
+
+    Returns ``(rep, M, blocks, all_stable, re_max, im_max)``, where
+    ``re_max`` and ``im_max`` are the largest real part and the largest
+    |imaginary part| over all closed-loop block poles.
+    """
     rep = spectrum_report(cfg)
     M = open_loop(cfg)
     blocks = tuple(make_block(lam, M) for lam in rep.eigenvalues)
-    all_stable = all(block_stable(b) for b in blocks)
+    # running maxima keep memory flat for long platoons
+    re_max, im_max = -math.inf, 0.0
+    for b in blocks:
+        for r in poly_roots(b.tf.den):
+            re_max = max(re_max, r.real)
+            im_max = max(im_max, abs(r.imag))
+    all_stable = re_max < -1e-9  # the rule of block_stable
     if not all_stable:
         logger.warning(
             "some closed-loop blocks are unstable; frequency responses are "
             "evaluated but do not define peak gains"
         )
-    return rep, M, blocks, all_stable
+    return rep, M, blocks, all_stable, re_max, im_max
 
 
 def _tf_response(tf: RationalTF):
@@ -163,7 +180,7 @@ def product_response(cfg: PlatoonConfig, omega):
     ValueError
         If some block has a pole exactly on the imaginary axis at ``omega``.
     """
-    rep, M, _, _ = _prepared(cfg)
+    rep, M, *_ = _prepared(cfg)
     scalar = np.ndim(omega) == 0
     w = np.atleast_1d(np.asarray(omega, dtype=float))
     s = 1j * w
@@ -209,22 +226,44 @@ def controllable_canonical(tf: RationalTF) -> tuple[np.ndarray, np.ndarray, np.n
     return A, B, C
 
 
-@lru_cache(maxsize=32)
-def _interconnection(cfg: PlatoonConfig):
-    """Reduced-platoon state space: input at vehicle 2, output at the last vehicle."""
-    from .platoon import build_laplacian, reduce_laplacian
+def build_state_space(cfg: PlatoonConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reduced-platoon realization driven by the leader's position.
 
-    M = open_loop(cfg)
-    Am, Bm, Cm = controllable_canonical(M)
-    R = reduce_laplacian(build_laplacian(cfg))
+    Each vehicle carries a controllable-canonical realization of the open
+    loop M = C*G; the vehicles are coupled through the reduced Laplacian, and
+    the leader's position enters vehicle 2 with gain mu_2, so the map from
+    leader position to the last vehicle is mu_2 times the platoon transfer
+    function (unit DC gain with an integrator in the loop).  Outputs are the
+    positions of all vehicles 2..n.
+
+    Raises
+    ------
+    ValueError
+        "open loop must be proper" when the numerator degree of M is not
+        below its denominator degree (the position output has no
+        feedthrough).
+    """
+    Am, Bm, Cm = controllable_canonical(open_loop(cfg))
+    R = tridiagonal_matrix(*laplacian_bands(cfg))
     m = Am.shape[0]
     nn = cfg.n - 1
-    A = np.kron(np.eye(nn), Am) - np.kron(R, np.outer(Bm, Cm))
+    A = np.kron(np.eye(nn), Am)
+    A -= np.kron(R, np.outer(Bm, Cm))
     B = np.zeros(nn * m)
-    B[:m] = Bm
-    C = np.zeros(nn * m)
-    C[-m:] = Cm
+    B[:m] = cfg.gains[0] * Bm
+    C = np.kron(np.eye(nn), Cm)
     return A, B, C
+
+
+@lru_cache(maxsize=32)
+def _oracle_realization(cfg: PlatoonConfig):
+    """The realization of :func:`build_state_space` cut to T(s), cached per config.
+
+    The input enters vehicle 2 without the leader gain mu_2, and the output
+    is the last vehicle's position alone.
+    """
+    A, B, C = build_state_space(cfg)
+    return A, B / cfg.gains[0], C[-1].copy()
 
 
 def direct_response(cfg: PlatoonConfig, omega: float) -> complex:
@@ -236,7 +275,7 @@ def direct_response(cfg: PlatoonConfig, omega: float) -> complex:
     """
     if omega == 0.0:
         return product_response(cfg, 0.0)
-    A, B, C = _interconnection(cfg)
+    A, B, C = _oracle_realization(cfg)
     dim = A.shape[0]
     try:
         z = np.linalg.solve(1j * omega * np.eye(dim) - A, B)
@@ -333,36 +372,16 @@ def kappa_modulus_sq(kappa: float, alpha: float, beta: float) -> float:
     return 1.0 - (2.0 * kappa * alpha + 1.0) / den
 
 
-def _zeta_search(alpha: float, beta: float, kappa_max: float) -> float:
-    """Minimum block modulus over gain ratios in [1, kappa_max].
+def _min_block_modulus(alpha: float, beta: float, kappa_max: float) -> float:
+    """Minimum block modulus over gain ratios kappa in [1, kappa_max].
 
-    Coarse grid then golden-section refinement; the modulus-squared can have
-    two stationary points in kappa, so the grid guards against refining into
-    a non-global valley.
+    d kappa_modulus_sq / d kappa = 2*kappa*r*(alpha*kappa + 1) / D**2 with
+    r = alpha**2 + beta**2 and D its denominator, so the only positive
+    stationary point, kappa = -1/alpha, is a maximum and the minimum lies at
+    an end of the interval.
     """
-    if kappa_max <= 1.0:
-        return math.sqrt(kappa_modulus_sq(1.0, alpha, beta))
-    ks = np.linspace(1.0, kappa_max, 512)
-    den = (ks * alpha + 1.0) ** 2 + (ks * beta) ** 2
-    vals = 1.0 - (2.0 * ks * alpha + 1.0) / den
-    j = int(np.argmin(vals))
-    a, b = ks[max(j - 1, 0)], ks[min(j + 1, len(ks) - 1)]
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = kappa_modulus_sq(c, alpha, beta)
-    fd = kappa_modulus_sq(d, alpha, beta)
-    tol = 1e-10 * max(1.0, kappa_max)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = kappa_modulus_sq(c, alpha, beta)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = kappa_modulus_sq(d, alpha, beta)
-    best = min(float(vals[j]), fc, fd)
-    return math.sqrt(best)
+    return math.sqrt(min(kappa_modulus_sq(1.0, alpha, beta),
+                         kappa_modulus_sq(kappa_max, alpha, beta)))
 
 
 def zeta_min(cfg: PlatoonConfig, omega_band: tuple[float, float] = DEFAULT_OMEGA_BAND) -> float:
@@ -380,14 +399,14 @@ def zeta_min(cfg: PlatoonConfig, omega_band: tuple[float, float] = DEFAULT_OMEGA
     ValueError
         "zeta undefined" when the minimal block's peak gain is not above 1.
     """
-    rep, M, blocks, _ = _prepared(cfg)
+    rep, M, blocks, *_ = _prepared(cfg)
     lam_min = rep.fiedler
     lam_max = rep.eigenvalues[-1]
     gamma, w0 = hinf_norm(_tf_response(blocks[0].tf), *omega_band)
     if gamma <= 1.0:
         raise ValueError("zeta undefined: minimal block peak gain does not exceed 1")
     ab = lam_min * rtf_eval(M, 1j * w0)
-    return _zeta_search(ab.real, ab.imag, lam_max / lam_min)
+    return _min_block_modulus(ab.real, ab.imag, lam_max / lam_min)
 
 
 def harmonic_test(cfg: PlatoonConfig,
@@ -405,7 +424,7 @@ def harmonic_test(cfg: PlatoonConfig,
     The per-platoon peak gain at the actual Fiedler eigenvalue is recorded in
     ``hinf_gamma_fiedler`` as a sharper, size-specific diagnostic.
     """
-    rep, M, blocks, all_stable = _prepared(cfg)
+    rep, M, blocks, all_stable, *_ = _prepared(cfg)
     if not all_stable:
         return HarmonicVerdict(
             verdict=UNSTABLE_BLOCKS,
@@ -444,7 +463,7 @@ def harmonic_test(cfg: PlatoonConfig,
     ab = lam_u * rtf_eval(M, 1j * w0)
     zeta = None
     if gamma_u > 1.0:
-        zeta = _zeta_search(ab.real, ab.imag, rep.eigenvalues[-1] / lam_u)
+        zeta = _min_block_modulus(ab.real, ab.imag, rep.eigenvalues[-1] / lam_u)
     return HarmonicVerdict(
         verdict=HARMONICALLY_UNSTABLE if gamma_u > 1.0 else TEST_INCONCLUSIVE,
         fiedler=rep.fiedler,
@@ -521,8 +540,6 @@ def verify_eigen_identities(cfg: PlatoonConfig) -> tuple[np.ndarray, float]:
         "identities require simple eigenvalues" when two reduced eigenvalues
         are closer than 1e-8 (near-defective eigenvectors).
     """
-    from .platoon import build_laplacian
-
     L = build_laplacian(cfg)
     n = cfg.n
     w, V = np.linalg.eig(L)

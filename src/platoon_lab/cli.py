@@ -21,7 +21,6 @@ import argparse
 import json
 import logging
 import math
-import os
 import sys
 from contextlib import contextmanager
 
@@ -40,24 +39,6 @@ IDENTITY_TOL = 1e-6
 
 class ConfigError(ValueError):
     """Config validation failure; maps to exit code 2."""
-
-
-def thread_cap() -> int:
-    """Worker cap from PLATOON_LAB_THREADS (0 = auto).
-
-    Accepted for forward compatibility: grid scans and size sweeps are
-    order-independent and may be parallelized up to this cap, but the current
-    implementation evaluates them serially for byte-identical outputs.
-    """
-    raw = os.environ.get("PLATOON_LAB_THREADS", "0")
-    try:
-        cap = int(raw)
-        if cap < 0:
-            raise ValueError
-    except ValueError:
-        logger.warning("ignoring invalid PLATOON_LAB_THREADS=%r", raw)
-        return os.cpu_count() or 1
-    return cap if cap > 0 else (os.cpu_count() or 1)
 
 
 def _broadcast(value, n: int, field: str) -> tuple[float, ...]:
@@ -301,7 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
     args = _build_parser().parse_args(argv)
-    thread_cap()  # validated here so a bad env var is reported once per run
     try:
         if args.command == "spectrum":
             return cmd_spectrum(args.config, args.out)

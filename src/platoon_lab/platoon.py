@@ -6,7 +6,8 @@ weights the spacing error to its predecessor with ``mu_i > 0`` and the error
 to its follower with ``mu_i * eps_i``; the trailing vehicle has no follower,
 so its asymmetry is forced to zero.  Removing the leader's row and column
 leaves a tridiagonal "reduced" Laplacian whose spectrum is real, nonnegative,
-and equal to the nonzero spectrum of the full matrix.
+and equal to the nonzero spectrum of the full matrix.  The reduced Laplacian
+is carried as its (sub, diag, sup) bands, so memory stays linear in ``n``.
 """
 
 from __future__ import annotations
@@ -98,74 +99,82 @@ class DominanceCertificate:
 
 
 def build_laplacian(cfg: PlatoonConfig) -> np.ndarray:
-    """Dense n-by-n platoon Laplacian: zero leader row, tridiagonal followers."""
-    n = cfg.n
-    mu = np.asarray(cfg.gains)
-    eps = np.asarray(cfg.asymmetries)
-    L = np.zeros((n, n))
-    rows = np.arange(1, n)
-    # The superdiagonal magnitude is derived from the rounded diagonal (within
-    # one ulp of mu*eps) so that each row sums to zero exactly in floats.
-    diag = mu + mu * eps
-    sup = diag - mu
-    L[rows, rows - 1] = -mu
-    L[rows, rows] = diag
-    L[rows[:-1], rows[:-1] + 1] = -sup[:-1]
+    """Dense n-by-n platoon Laplacian: zero leader row, tridiagonal followers.
+
+    The dense reference for :func:`verify_eigen_identities` and the tests;
+    every other computation works on :func:`laplacian_bands`.
+    """
+    L = np.zeros((cfg.n, cfg.n))
+    L[1, 0] = -cfg.gains[0]
+    L[1:, 1:] = tridiagonal_matrix(*laplacian_bands(cfg))
     return L
 
 
-def reduce_laplacian(L: np.ndarray) -> np.ndarray:
-    """Drop the leader's row and column; keeps all nonzero eigenvalues."""
-    return np.array(L[1:, 1:])
+def tridiagonal_matrix(sub, diag, sup) -> np.ndarray:
+    """Dense square matrix with the given (sub, diag, sup) bands and zeros elsewhere."""
+    T = np.zeros((len(diag), len(diag)))
+    rows = np.arange(len(diag))
+    T[rows, rows] = diag
+    T[rows[1:], rows[:-1]] = sub
+    T[rows[:-1], rows[1:]] = sup
+    return T
 
 
-def spectrum(R: np.ndarray) -> SpectrumReport:
-    """All eigenvalues of the reduced Laplacian, sorted ascending.
+def laplacian_bands(cfg: PlatoonConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reduced Laplacian (leader row and column dropped) as (sub, diag, sup) bands.
 
-    The matrix is split into irreducible tridiagonal blocks wherever a
-    superdiagonal entry is exactly zero (zero asymmetry decouples the rows
-    above from the rows below).  Each irreducible block has positive
-    subdiagonal*superdiagonal products and is symmetrized by the diagonal
-    similarity with ratios d_{k+1}/d_k = sqrt(sub/super); eigenvalues of the
-    symmetric tridiagonal blocks come from a standard implicit-shift
-    tridiagonal eigensolver.  1x1 blocks contribute their diagonal directly.
+    ``diag`` holds the n-1 diagonal entries mu_i*(1 + eps_i); ``sub`` and
+    ``sup`` hold the n-2 entries -mu_{i+1} below and -mu_i*eps_i above it.
+    """
+    mu = np.asarray(cfg.gains)
+    diag = mu + mu * np.asarray(cfg.asymmetries)
+    # The superdiagonal magnitude is derived from the rounded diagonal (within
+    # one ulp of mu*eps) so that each Laplacian row sums to zero exactly in
+    # floats.
+    sup = -(diag[:-1] - mu[:-1])
+    return -mu[1:], diag, sup
+
+
+def spectrum(sub, diag, sup) -> SpectrumReport:
+    """All eigenvalues of a tridiagonal reduced Laplacian, sorted ascending.
+
+    The matrix, given by its (sub, diag, sup) bands, is split into
+    irreducible tridiagonal blocks wherever a superdiagonal entry is exactly
+    zero (zero asymmetry decouples the rows above from the rows below).  Each
+    irreducible block has positive subdiagonal*superdiagonal products and is
+    symmetrized by the diagonal similarity with ratios
+    d_{k+1}/d_k = sqrt(sub/super); eigenvalues of the symmetric tridiagonal
+    blocks come from a standard implicit-shift tridiagonal eigensolver.  1x1
+    blocks contribute their diagonal directly.
 
     Raises
     ------
     ValueError
-        On non-finite entries, a non-tridiagonal matrix, or a sign pattern
-        that does not admit the symmetrizing similarity.
+        On non-finite entries, band lengths that do not fit one square
+        matrix, or a sign pattern that does not admit the symmetrizing
+        similarity.
     """
-    R = np.asarray(R, dtype=float)
-    if R.ndim != 2 or R.shape[0] != R.shape[1]:
-        raise ValueError("reduced Laplacian must be square")
-    if not np.all(np.isfinite(R)):
+    sub, diag, sup = (np.asarray(b, dtype=float) for b in (sub, diag, sup))
+    m = diag.size
+    if diag.shape != (m,) or m == 0 or sub.shape != (m - 1,) or sup.shape != (m - 1,):
+        raise ValueError("band lengths must be m-1, m, m-1 for an m-by-m tridiagonal matrix")
+    if not all(np.all(np.isfinite(b)) for b in (sub, diag, sup)):
         raise ValueError("reduced Laplacian has non-finite entries")
-    m = R.shape[0]
-    if m > 2 and np.any(R[~np.eye(m, dtype=bool) & ~np.eye(m, k=1, dtype=bool) & ~np.eye(m, k=-1, dtype=bool)] != 0):
-        raise ValueError("reduced Laplacian must be tridiagonal")
 
-    diag = np.diag(R).copy()
-    if m == 1:
-        eigs = diag
-    else:
-        sup = np.diag(R, 1)
-        sub = np.diag(R, -1)
-        eigs = []
-        start = 0
-        cuts = [k + 1 for k in range(m - 1) if sup[k] == 0.0] + [m]
-        for end in cuts:
-            if end - start == 1:
-                eigs.append(diag[start])
-            else:
-                prod = sub[start:end - 1] * sup[start:end - 1]
-                if np.any(prod <= 0):
-                    raise ValueError("off-diagonal sign pattern is not symmetrizable")
-                off = np.sqrt(prod)
-                eigs.extend(eigh_tridiagonal(diag[start:end], off, eigvals_only=True))
-            start = end
-        eigs = np.asarray(eigs)
-    eigs = np.sort(eigs)
+    eigs = []
+    start = 0
+    cuts = [k + 1 for k in range(m - 1) if sup[k] == 0.0] + [m]
+    for end in cuts:
+        if end - start == 1:
+            eigs.append(diag[start])
+        else:
+            prod = sub[start:end - 1] * sup[start:end - 1]
+            if np.any(prod <= 0):
+                raise ValueError("off-diagonal sign pattern is not symmetrizable")
+            off = np.sqrt(prod)
+            eigs.extend(eigh_tridiagonal(diag[start:end], off, eigvals_only=True))
+        start = end
+    eigs = np.sort(np.asarray(eigs))
     return SpectrumReport(
         eigenvalues=tuple(float(x) for x in eigs),
         fiedler=float(eigs[0]),
@@ -176,27 +185,27 @@ def spectrum(R: np.ndarray) -> SpectrumReport:
 def fiedler_lower_bound(cfg: PlatoonConfig) -> float | None:
     """Size-independent lower bound on the reduced-Laplacian spectrum.
 
-    With eps_max = max asymmetry, every eigenvalue is at least
-    ``(1 - eps_max)**2 / (2 + 2*eps_max)`` regardless of the platoon length.
-    Returns None when eps_max >= 1 (no such bound exists on this route).
+    With eps_max = max asymmetry and mu_min = min gain, every eigenvalue is
+    at least ``min(1, mu_min) * (1 - eps_max)**2 / (2 + 2*eps_max)``
+    regardless of the platoon length: row i of the dominance certificate has
+    margin at least ``mu_i * (1 - eps_max)**2 / (2 + 2*eps_max)``.  Returns
+    None when eps_max >= 1 (no such bound exists on this route).
 
-    The guarantee is proved for gains mu_i >= 1; for smaller gains the
-    certified bound scales by min(mu_i), which is logged as a warning.
+    With every gain >= 1 the scale factor is exactly 1; a gain below 1
+    scales the bound down, which is logged as a warning.
     """
     eps_max = max(cfg.asymmetries)
     if eps_max >= 1.0:
         return None
-    if min(cfg.gains) < 1.0:
-        logger.warning(
-            "min gain %.6g < 1: the certified lower bound scales by min(mu_i)",
-            min(cfg.gains),
-        )
-    return (1.0 - eps_max) ** 2 / (2.0 + 2.0 * eps_max)
+    mu_min = min(cfg.gains)
+    if mu_min < 1.0:
+        logger.warning("min gain %.6g < 1: the uniform lower bound is scaled by it", mu_min)
+    return min(1.0, mu_min) * ((1.0 - eps_max) ** 2 / (2.0 + 2.0 * eps_max))
 
 
 def spectrum_report(cfg: PlatoonConfig) -> SpectrumReport:
     """Spectrum of the reduced Laplacian with the asymmetry bound attached."""
-    rep = spectrum(reduce_laplacian(build_laplacian(cfg)))
+    rep = spectrum(*laplacian_bands(cfg))
     return SpectrumReport(
         eigenvalues=rep.eigenvalues,
         fiedler=rep.fiedler,
@@ -238,30 +247,25 @@ def dominance_certificate(cfg: PlatoonConfig) -> DominanceCertificate:
         )
 
     p = 0.5 * (1.0 + 1.0 / eps_max)
-    R = reduce_laplacian(build_laplacian(cfg))
-    # B = P^-1 R P, entrywise B[i,j] = R[i,j] * p**(j-i).  Only |j-i| <= 1 is
-    # nonzero, so the scaled matrix stays bounded even though p**k overflows
+    sub, diag, sup = laplacian_bands(cfg)
+    # B = P^-1 R P scales the band k above the diagonal by p**k.  Only the
+    # three bands are nonzero, so B stays bounded even though p**k overflows
     # for long platoons.
-    powers = np.zeros((m, m))
-    for k in (-1, 0, 1):
-        idx = np.arange(max(0, -k), m - max(0, k))
-        powers[idx, idx + k] = p ** float(k)
-    B = R * powers
+    got_sub = np.concatenate([[0.0], sub * p ** -1.0])
+    got_sup = np.concatenate([sup * p, [0.0]])
 
     # Scaled rows must reproduce [-mu/p, mu(1+eps), -p*mu*eps] exactly.
     rows = np.arange(m)
     expect_diag = mu * (1 + eps)
     expect_sub = np.where(rows > 0, -mu / p, 0.0)
     expect_sup = np.where(rows < m - 1, -p * mu * eps, 0.0)
-    got_sub = np.concatenate([[0.0], np.diag(B, -1)])
-    got_sup = np.concatenate([np.diag(B, 1), [0.0]])
     scale = np.maximum(1.0, np.abs(expect_diag) + np.abs(expect_sub) + np.abs(expect_sup))
-    if np.any(np.abs(np.diag(B) - expect_diag) > 1e-12 * scale) or np.any(
+    if np.any(np.abs(diag - expect_diag) > 1e-12 * scale) or np.any(
         np.abs(got_sub - expect_sub) > 1e-12 * scale
     ) or np.any(np.abs(got_sup - expect_sup) > 1e-12 * scale):
         raise ValueError("scaled rows do not match the expected similarity pattern")
 
-    margins = np.diag(B) - (np.abs(got_sub) + np.abs(got_sup))
+    margins = diag - (np.abs(got_sub) + np.abs(got_sup))
     return DominanceCertificate(
         p=float(p),
         row_margins=tuple(float(x) for x in margins),

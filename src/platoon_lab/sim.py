@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import controllable_canonical, open_loop, _prepared
-from .numerics import poly_roots
-from .platoon import PlatoonConfig, build_laplacian, reduce_laplacian
+from .analysis import _prepared, build_state_space
+from .platoon import PlatoonConfig
 
 logger = logging.getLogger(__name__)
 
@@ -79,35 +78,6 @@ class TimeSeries:
             fh.write(f"{t:.17g}," + ",".join(f"{x:.17g}" for x in row) + "\n")
 
 
-def build_state_space(cfg: PlatoonConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reduced-platoon realization driven by the leader's position.
-
-    Each vehicle carries a controllable-canonical realization of the open
-    loop M = C*G; the vehicles are coupled through the reduced Laplacian, and
-    the leader's position enters vehicle 2 with gain mu_2, so the map from
-    leader position to the last vehicle is mu_2 times the platoon transfer
-    function (unit DC gain with an integrator in the loop).  Outputs are the
-    positions of all vehicles 2..n.
-
-    Raises
-    ------
-    ValueError
-        "open loop must be proper" when the numerator degree of M is not
-        below its denominator degree (the position output has no
-        feedthrough).
-    """
-    M = open_loop(cfg)
-    Am, Bm, Cm = controllable_canonical(M)
-    R = reduce_laplacian(build_laplacian(cfg))
-    m = Am.shape[0]
-    nn = cfg.n - 1
-    A = np.kron(np.eye(nn), Am) - np.kron(R, np.outer(Bm, Cm))
-    B = np.zeros(nn * m)
-    B[:m] = cfg.gains[0] * Bm
-    C = np.kron(np.eye(nn), Cm)
-    return A, B, C
-
-
 def dt_limit(cfg: PlatoonConfig) -> float | None:
     """Largest admissible step: one twentieth of the fastest oscillation period.
 
@@ -115,11 +85,7 @@ def dt_limit(cfg: PlatoonConfig) -> float | None:
     closed-loop block poles; None when every pole is real (no constraint
     from this rule).
     """
-    rep, M, blocks, _ = _prepared(cfg)
-    w_fast = 0.0
-    for blk in blocks:
-        for r in poly_roots(blk.tf.den):
-            w_fast = max(w_fast, abs(r.imag))
+    *_, w_fast = _prepared(cfg)
     if w_fast == 0.0:
         return None
     return (2.0 * math.pi / w_fast) / 20.0
@@ -138,10 +104,9 @@ def simulate(sc: SimScenario) -> TimeSeries:
     if limit is not None and sc.dt > limit:
         raise ValueError(f"dt={sc.dt} too large for the closed-loop dynamics; required dt <= {limit:.6g}")
 
-    rep, M, blocks, all_stable = _prepared(cfg)
+    _, _, _, all_stable, sigma, _ = _prepared(cfg)
     t_end = sc.t_end
     if not all_stable:
-        sigma = max(r.real for blk in blocks for r in poly_roots(blk.tf.den))
         t_cap = 14.0 / sigma  # amplitude growth capped near e^14
         if t_cap < t_end:
             logger.warning(

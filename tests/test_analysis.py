@@ -29,6 +29,7 @@ from platoon_lab.analysis import (
     HARMONICALLY_UNSTABLE,
     TEST_INCONCLUSIVE,
     UNSTABLE_BLOCKS,
+    _min_block_modulus,
     write_freq_csv,
 )
 
@@ -256,6 +257,18 @@ class TestZetaMin:
         z = zeta_min(cfg)
         gamma, _ = hinf_norm(lambda w: product_response(cfg, w))
         assert gamma >= z ** 19
+
+    def test_closed_form_matches_dense_kappa_grid(self):
+        # the block modulus has no interior minimum in kappa, so the closed
+        # form (an end of the interval) must match a fine grid's minimum
+        rng = np.random.default_rng(41)
+        for _ in range(500):
+            alpha, beta = rng.uniform(-3.0, -0.5), rng.uniform(-3.0, 3.0)
+            kappa_max = rng.uniform(1.0, 100.0)
+            ks = np.linspace(1.0, kappa_max, 10_000)
+            grid = 1.0 - (2.0 * ks * alpha + 1.0) / ((ks * alpha + 1.0) ** 2 + (ks * beta) ** 2)
+            zeta = _min_block_modulus(alpha, beta, kappa_max)
+            assert abs(zeta - math.sqrt(grid.min())) <= 4 * math.ulp(zeta)
 
 
 class TestHarmonicTest:

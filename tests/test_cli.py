@@ -217,19 +217,3 @@ class TestDeterminism:
         cli.cmd_freqresp(path, str(a), n_points=60)
         cli.cmd_freqresp(path, str(b), n_points=60)
         assert a.read_bytes() == b.read_bytes()
-
-
-class TestThreadCap:
-    def test_default_auto(self, monkeypatch):
-        monkeypatch.delenv("PLATOON_LAB_THREADS", raising=False)
-        assert cli.thread_cap() >= 1
-
-    def test_explicit_cap(self, monkeypatch):
-        monkeypatch.setenv("PLATOON_LAB_THREADS", "3")
-        assert cli.thread_cap() == 3
-
-    def test_invalid_value_falls_back(self, monkeypatch, caplog):
-        monkeypatch.setenv("PLATOON_LAB_THREADS", "many")
-        with caplog.at_level(logging.WARNING):
-            assert cli.thread_cap() >= 1
-        assert any("PLATOON_LAB_THREADS" in r.message for r in caplog.records)

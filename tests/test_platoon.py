@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from platoon_lab import (
     build_laplacian,
     dominance_certificate,
     fiedler_lower_bound,
-    reduce_laplacian,
+    laplacian_bands,
     spectrum,
     spectrum_report,
 )
@@ -93,31 +94,41 @@ class TestBuildLaplacian:
 
 
 class TestReduce:
+    """laplacian_bands: the reduced Laplacian, leader row and column dropped."""
+
     def test_single_follower(self):
         cfg = PlatoonConfig(n=2, gains=(1.0,), asymmetries=(0.0,),
                             vehicle=VEHICLE, controller=CONTROLLER)
-        assert np.array_equal(reduce_laplacian(build_laplacian(cfg)), [[1.0]])
+        sub, diag, sup = laplacian_bands(cfg)
+        assert sub.shape == (0,) and sup.shape == (0,)
+        assert np.array_equal(diag, [1.0])
 
     def test_block_extraction(self):
-        R = reduce_laplacian(build_laplacian(make_cfg(3, eps=0.5)))
-        assert np.array_equal(R, [[1.5, -0.5], [-1.0, 1.0]])
+        sub, diag, sup = laplacian_bands(make_cfg(3, eps=0.5))
+        assert np.array_equal(sub, [-1.0])
+        assert np.array_equal(diag, [1.5, 1.0])
+        assert np.array_equal(sup, [-0.5])
 
     def test_drops_first_row_and_column(self):
         rng = np.random.default_rng(12)
-        L = build_laplacian(random_cfg(rng))
-        assert np.array_equal(reduce_laplacian(L), L[1:, 1:])
+        cfg = random_cfg(rng)
+        R = build_laplacian(cfg)[1:, 1:]
+        sub, diag, sup = laplacian_bands(cfg)
+        assert np.array_equal(sub, np.diag(R, -1))
+        assert np.array_equal(diag, np.diag(R))
+        assert np.array_equal(sup, np.diag(R, 1))
 
 
 class TestSpectrum:
     def test_two_by_two_characteristic_polynomial(self):
-        rep = spectrum(np.array([[1.5, -0.5], [-1.0, 1.0]]))
+        rep = spectrum([-1.0], [1.5, 1.0], [-0.5])
         assert np.allclose(rep.eigenvalues, [0.5, 2.0], atol=1e-12)
         assert rep.fiedler == pytest.approx(0.5)
 
     def test_triangular_case_reads_diagonal(self):
         cfg = PlatoonConfig(n=3, gains=(2.0, 3.0), asymmetries=(0.0, 0.0),
                             vehicle=VEHICLE, controller=CONTROLLER)
-        rep = spectrum(reduce_laplacian(build_laplacian(cfg)))
+        rep = spectrum(*laplacian_bands(cfg))
         assert np.allclose(rep.eigenvalues, [2.0, 3.0])
 
     def test_homogeneous_min_eigenvalue_bound(self):
@@ -126,12 +137,15 @@ class TestSpectrum:
 
     def test_non_finite_entries_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            spectrum(np.array([[1.0, np.nan], [-1.0, 1.0]]))
+            spectrum([-1.0], [1.0, 1.0], [np.nan])
 
-    def test_non_tridiagonal_rejected(self):
-        bad = np.array([[2.0, -0.5, -0.1], [-1.0, 2.0, -0.5], [0.0, -1.0, 1.0]])
-        with pytest.raises(ValueError, match="tridiagonal"):
-            spectrum(bad)
+    def test_band_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="band lengths"):
+            spectrum([-1.0, -1.0], [2.0, 2.0, 1.0], [-0.5])
+
+    def test_unsymmetrizable_signs_rejected(self):
+        with pytest.raises(ValueError, match="not symmetrizable"):
+            spectrum([1.0], [1.5, 1.0], [-0.5])
 
     def test_matches_dense_oracle_with_zero_splits(self):
         rng = np.random.default_rng(13)
@@ -172,8 +186,16 @@ class TestFiedlerLowerBound:
         cfg = make_cfg(5, eps=0.5, mu=0.5)
         with caplog.at_level(logging.WARNING):
             bound = fiedler_lower_bound(cfg)
-        assert bound == pytest.approx(0.25 / 3.0)
+        assert bound == pytest.approx(0.5 * 0.25 / 3.0)
         assert any("min gain" in r.message for r in caplog.records)
+
+    def test_bound_holds_for_gains_below_one(self):
+        rng = np.random.default_rng(18)
+        for _ in range(300):
+            cfg = random_cfg(rng, mu_lo=1e-3, mu_hi=5.0, eps_lo=0.0, eps_hi=0.95)
+            rep = spectrum_report(cfg)
+            assert rep.fiedler >= rep.fiedler_lower
+            assert dominance_certificate(cfg).lower_bound >= rep.fiedler_lower - 1e-12
 
     def test_proven_inequality_holds_with_zero_tolerance(self):
         rng = np.random.default_rng(16)
@@ -224,6 +246,18 @@ class TestDominanceCertificate:
         assert cert.p == np.inf
         assert cert.row_margins == (1.5, 2.0, 3.0)
         assert cert.lower_bound == 1.5
+
+    def test_memory_is_linear_in_platoon_length(self):
+        cfg = make_cfg(3000, eps=0.5)
+        tracemalloc.start()
+        try:
+            spectrum_report(cfg)
+            dominance_certificate(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one dense 2999-by-2999 matrix alone would take 72 MB
+        assert peak < 10e6
 
     def test_long_platoon_does_not_overflow(self):
         # scaling powers p**k overflow for n in the hundreds; margins must not

@@ -11,8 +11,12 @@ from platoon_lab import (
     StepSignal,
     build_state_space,
     dt_limit,
+    make_block,
+    open_loop,
+    poly_roots,
     product_response,
     simulate,
+    spectrum_report,
 )
 
 from conftest import make_cfg
@@ -74,6 +78,16 @@ class TestSimulate:
         scenario = SimScenario(cfg=cfg, leader_signal=StepSignal(1.0), t_end=10.0, dt=2 * limit)
         with pytest.raises(ValueError, match="required dt"):
             simulate(scenario)
+
+    def test_dt_limit_is_fastest_block_oscillation(self):
+        for cfg in (make_cfg(5), make_cfg(12, eps=0.3, mu=1.7)):
+            M = open_loop(cfg)
+            w_fast = max(abs(r.imag) for lam in spectrum_report(cfg).eigenvalues
+                         for r in poly_roots(make_block(lam, M).tf.den))
+            assert dt_limit(cfg) == (2.0 * math.pi / w_fast) / 20.0
+        first_order = RationalTF(num=(1.0,), den=(1.0, 1.0))
+        real_poles = make_cfg(4, vehicle=first_order, controller=RationalTF((1.0,), (1.0,)))
+        assert dt_limit(real_poles) is None
 
     def test_two_vehicle_step_settles_to_amplitude(self):
         cfg = make_cfg(2)
