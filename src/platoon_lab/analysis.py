@@ -3,10 +3,11 @@
 The transfer function from the second vehicle's input to the last vehicle's
 position factors into a product of closed-loop blocks, one per reduced
 Laplacian eigenvalue: ``T(s) = (1/mu_2) * prod_i lam_i M(s) / (1 + lam_i M(s))``
-with ``M = C*G`` the per-vehicle open loop.  This module builds those blocks,
-evaluates the product (in log-magnitude/phase form so long platoons cannot
-overflow), provides the full interconnected state-space response as an
-independent oracle, and runs the harmonic-instability test: when the spectrum
+with ``M = C*G`` the per-vehicle open loop.  This module solves the poles of
+all blocks in one stacked call, evaluates the product from the eigenvalue
+vector alone (in log-magnitude/phase form so long platoons cannot overflow),
+provides the full interconnected state-space response as an independent
+oracle, and runs the harmonic-instability test: when the spectrum
 admits a size-independent positive lower bound and the closed-loop block at
 that bound has a peak gain above one, the platoon's peak gain grows at least
 geometrically with the vehicle count.
@@ -19,12 +20,14 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .numerics import (
     Polynomial,
     RationalTF,
+    companion_roots,
     poly_add_scaled,
     poly_eval,
     poly_mul,
@@ -33,6 +36,7 @@ from .numerics import (
 )
 from .platoon import (
     PlatoonConfig,
+    SpectrumReport,
     build_laplacian,
     laplacian_bands,
     spectrum_report,
@@ -48,6 +52,10 @@ TEST_INCONCLUSIVE = "test-inconclusive"
 UNSTABLE_BLOCKS = "unstable-blocks"
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_N_SCAN = 2000  # coarse log-grid size of the peak search
+
+# A closed-loop pole is stable when its real part is below this.
+_STABLE_RE = -1e-9
 
 
 @dataclass(frozen=True)
@@ -75,7 +83,7 @@ class FreqSeries:
             return 20.0 * np.log10(np.abs(self.values))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class HarmonicVerdict:
     """Outcome of the harmonic-instability test.
 
@@ -86,19 +94,23 @@ class HarmonicVerdict:
     separately as ``hinf_gamma_fiedler``.  ``alpha + j*beta`` is the scaled
     open loop ``lambda_min_used * M`` evaluated at the peak frequency
     ``omega0``; whenever the peak gain exceeds one, ``alpha < -1/2`` and every
-    eigenvalue's block has modulus at least ``zeta_min > 1`` there.
+    eigenvalue's block has modulus at least ``zeta_min > 1`` there.  When
+    ``omega0`` is a pole of M (a DC peak with an integrator in the loop),
+    ``alpha``, ``beta`` and ``zeta_min`` are None.
+
+    Fields are keyword-only; the ones a stage does not reach stay None.
     """
 
     verdict: str
     fiedler: float
     fiedler_lower: float | None
-    lambda_min_used: float | None
-    hinf_gamma_min: float | None
-    hinf_gamma_fiedler: float | None
-    omega0: float | None
-    alpha: float | None
-    beta: float | None
-    zeta_min: float | None
+    lambda_min_used: float | None = None
+    hinf_gamma_min: float | None = None
+    hinf_gamma_fiedler: float | None = None
+    omega0: float | None = None
+    alpha: float | None = None
+    beta: float | None = None
+    zeta_min: float | None = None
     omega_band: tuple[float, float]
 
 
@@ -130,42 +142,53 @@ def make_block(lam: float, M: RationalTF) -> Block:
 
 def block_stable(b: Block) -> bool:
     """True iff every closed-loop pole has real part below -1e-9."""
-    return all(r.real < -1e-9 for r in poly_roots(b.tf.den))
+    return all(r.real < _STABLE_RE for r in poly_roots(b.tf.den))
+
+
+class _Prepared(NamedTuple):
+    rep: SpectrumReport
+    M: RationalTF
+    all_stable: bool
+    re_max: float
+    im_max: float
 
 
 @lru_cache(maxsize=128)
-def _prepared(cfg: PlatoonConfig):
-    """Spectrum, open loop and blocks of a config, with one pole solve per block.
+def _prepared(cfg: PlatoonConfig) -> _Prepared:
+    """Spectrum, open loop and closed-loop pole extremes of a config.
 
-    Returns ``(rep, M, blocks, all_stable, re_max, im_max)``, where
-    ``re_max`` and ``im_max`` are the largest real part and the largest
-    |imaginary part| over all closed-loop block poles.
+    The closed-loop denominators ``den(M) + lam*num(M)`` of all eigenvalues
+    are formed as one array and solved in one stacked companion-matrix
+    eigenvalue call; no per-block object is built.  ``re_max`` and
+    ``im_max`` are the largest real part and the largest |imaginary part|
+    over all block poles, and ``all_stable`` applies the rule of
+    :func:`block_stable` to ``re_max``.
     """
     rep = spectrum_report(cfg)
     M = open_loop(cfg)
-    blocks = tuple(make_block(lam, M) for lam in rep.eigenvalues)
-    # running maxima keep memory flat for long platoons
-    re_max, im_max = -math.inf, 0.0
-    for b in blocks:
-        for r in poly_roots(b.tf.den):
-            re_max = max(re_max, r.real)
-            im_max = max(im_max, abs(r.imag))
-    all_stable = re_max < -1e-9  # the rule of block_stable
+    a, b = np.asarray(M.den.coeffs), np.asarray(M.num.coeffs)
+    lams = np.asarray(rep.eigenvalues)[:, None]
+    dens = np.zeros((lams.size, max(a.size, b.size)))
+    dens[:, :a.size] = a
+    dens[:, :b.size] += lams * b  # padded a + lam*b, as poly_add_scaled forms it
+    try:
+        roots = companion_roots(dens)
+    except ValueError:  # some row has a lower degree: normalize row by row
+        roots = np.concatenate([poly_roots(Polynomial(tuple(row))) for row in dens])
+    re_max = float(roots.real.max())
+    all_stable = re_max < _STABLE_RE
     if not all_stable:
         logger.warning(
             "some closed-loop blocks are unstable; frequency responses are "
             "evaluated but do not define peak gains"
         )
-    return rep, M, blocks, all_stable, re_max, im_max
+    return _Prepared(rep, M, all_stable, re_max, float(np.abs(roots.imag).max()))
 
 
-def _tf_response(tf: RationalTF):
-    """Frequency-response callable omega -> tf(j*omega), scalar or ndarray."""
-
-    def response(omega):
-        return rtf_eval(tf, 1j * np.asarray(omega, dtype=float))
-
-    return response
+def _block_peak(lam: float, M: RationalTF, band: tuple[float, float]) -> tuple[float, float]:
+    """Peak gain of the closed-loop block at ``lam`` over ``band``, and its frequency."""
+    tf = make_block(lam, M).tf
+    return hinf_norm(lambda w: rtf_eval(tf, 1j * np.asarray(w, dtype=float)), *band)
 
 
 def product_response(cfg: PlatoonConfig, omega):
@@ -296,7 +319,7 @@ def _mag_at(response, omega: float) -> float:
 
 
 def hinf_norm(response, omega_lo: float = DEFAULT_OMEGA_BAND[0],
-              omega_hi: float = DEFAULT_OMEGA_BAND[1], n_scan: int = 2000):
+              omega_hi: float = DEFAULT_OMEGA_BAND[1]):
     """Peak magnitude of a frequency response over a band, plus its location.
 
     Parameters
@@ -304,9 +327,8 @@ def hinf_norm(response, omega_lo: float = DEFAULT_OMEGA_BAND[0],
     response : callable
         omega -> complex value; must accept an ndarray of frequencies.
     omega_lo, omega_hi : float
-        Scan band in rad/s (log-spaced coarse scan of ``n_scan`` points).
-    n_scan : int
-        Coarse grid size before golden-section refinement.
+        Scan band in rad/s (log-spaced coarse scan of 2000 points before
+        golden-section refinement).
 
     Returns
     -------
@@ -323,7 +345,7 @@ def hinf_norm(response, omega_lo: float = DEFAULT_OMEGA_BAND[0],
     """
     if not 0 < omega_lo < omega_hi:
         raise ValueError("need 0 < omega_lo < omega_hi")
-    grid = np.logspace(math.log10(omega_lo), math.log10(omega_hi), n_scan)
+    grid = np.logspace(math.log10(omega_lo), math.log10(omega_hi), _N_SCAN)
     mags = np.abs(np.asarray(response(grid)))
     if not np.all(np.isfinite(mags)):
         bad = grid[np.nonzero(~np.isfinite(mags))[0][0]]
@@ -334,7 +356,7 @@ def hinf_norm(response, omega_lo: float = DEFAULT_OMEGA_BAND[0],
 
     # golden-section on log-frequency inside the bracketing cell pair
     a = math.log(grid[max(i - 1, 0)])
-    b = math.log(grid[min(i + 1, n_scan - 1)])
+    b = math.log(grid[min(i + 1, _N_SCAN - 1)])
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc = _mag_at(response, math.exp(c))
@@ -399,14 +421,13 @@ def zeta_min(cfg: PlatoonConfig, omega_band: tuple[float, float] = DEFAULT_OMEGA
     ValueError
         "zeta undefined" when the minimal block's peak gain is not above 1.
     """
-    rep, M, blocks, *_ = _prepared(cfg)
+    rep, M, *_ = _prepared(cfg)
     lam_min = rep.fiedler
-    lam_max = rep.eigenvalues[-1]
-    gamma, w0 = hinf_norm(_tf_response(blocks[0].tf), *omega_band)
+    gamma, w0 = _block_peak(lam_min, M, omega_band)
     if gamma <= 1.0:
         raise ValueError("zeta undefined: minimal block peak gain does not exceed 1")
     ab = lam_min * rtf_eval(M, 1j * w0)
-    return _min_block_modulus(ab.real, ab.imag, lam_max / lam_min)
+    return _min_block_modulus(ab.real, ab.imag, rep.eigenvalues[-1] / lam_min)
 
 
 def harmonic_test(cfg: PlatoonConfig,
@@ -424,58 +445,34 @@ def harmonic_test(cfg: PlatoonConfig,
     The per-platoon peak gain at the actual Fiedler eigenvalue is recorded in
     ``hinf_gamma_fiedler`` as a sharper, size-specific diagnostic.
     """
-    rep, M, blocks, all_stable, *_ = _prepared(cfg)
-    if not all_stable:
-        return HarmonicVerdict(
-            verdict=UNSTABLE_BLOCKS,
-            fiedler=rep.fiedler,
-            fiedler_lower=rep.fiedler_lower,
-            lambda_min_used=None,
-            hinf_gamma_min=None,
-            hinf_gamma_fiedler=None,
-            omega0=None,
-            alpha=None,
-            beta=None,
-            zeta_min=None,
-            omega_band=omega_band,
-        )
+    prep = _prepared(cfg)
+    rep, M = prep.rep, prep.M
+    known = dict(fiedler=rep.fiedler, fiedler_lower=rep.fiedler_lower, omega_band=omega_band)
+    if not prep.all_stable:
+        return HarmonicVerdict(verdict=UNSTABLE_BLOCKS, **known)
 
-    gamma_fiedler, _ = hinf_norm(_tf_response(blocks[0].tf), *omega_band)
-
+    gamma_fiedler, _ = _block_peak(rep.fiedler, M, omega_band)
     if rep.fiedler_lower is None:
-        return HarmonicVerdict(
-            verdict=TEST_INCONCLUSIVE,
-            fiedler=rep.fiedler,
-            fiedler_lower=None,
-            lambda_min_used=None,
-            hinf_gamma_min=None,
-            hinf_gamma_fiedler=gamma_fiedler,
-            omega0=None,
-            alpha=None,
-            beta=None,
-            zeta_min=None,
-            omega_band=omega_band,
-        )
+        return HarmonicVerdict(verdict=TEST_INCONCLUSIVE, hinf_gamma_fiedler=gamma_fiedler, **known)
 
     lam_u = rep.fiedler_lower
-    blk_u = make_block(lam_u, M)
-    gamma_u, w0 = hinf_norm(_tf_response(blk_u.tf), *omega_band)
-    ab = lam_u * rtf_eval(M, 1j * w0)
-    zeta = None
-    if gamma_u > 1.0:
-        zeta = _min_block_modulus(ab.real, ab.imag, rep.eigenvalues[-1] / lam_u)
+    gamma_u, w0 = _block_peak(lam_u, M, omega_band)
+    alpha = beta = zeta = None
+    if poly_eval(M.den, 1j * w0) != 0:  # alpha, beta undefined at a pole of M
+        ab = lam_u * rtf_eval(M, 1j * w0)
+        alpha, beta = ab.real, ab.imag
+        if gamma_u > 1.0:
+            zeta = _min_block_modulus(alpha, beta, rep.eigenvalues[-1] / lam_u)
     return HarmonicVerdict(
         verdict=HARMONICALLY_UNSTABLE if gamma_u > 1.0 else TEST_INCONCLUSIVE,
-        fiedler=rep.fiedler,
-        fiedler_lower=rep.fiedler_lower,
         lambda_min_used=lam_u,
         hinf_gamma_min=gamma_u,
         hinf_gamma_fiedler=gamma_fiedler,
         omega0=w0,
-        alpha=ab.real,
-        beta=ab.imag,
+        alpha=alpha,
+        beta=beta,
         zeta_min=zeta,
-        omega_band=omega_band,
+        **known,
     )
 
 

@@ -18,6 +18,7 @@ Exit codes: 0 ok, 2 config validation failure, 3 unstable closed-loop blocks,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -173,19 +174,8 @@ def cmd_spectrum(config_path: str, out_path=None) -> int:
 def cmd_harmonic(config_path: str, out_path=None) -> int:
     cfg, band, _ = load_config(config_path)
     v = analysis.harmonic_test(cfg, band)
-    doc = {
-        "verdict": v.verdict,
-        "fiedler": v.fiedler,
-        "theorem1_lower": v.fiedler_lower,
-        "lambda_min_used": v.lambda_min_used,
-        "hinf_gamma_min": v.hinf_gamma_min,
-        "hinf_gamma_fiedler": v.hinf_gamma_fiedler,
-        "omega0": v.omega0,
-        "alpha": v.alpha,
-        "beta": v.beta,
-        "zeta_min": v.zeta_min,
-        "omega_band": list(v.omega_band),
-    }
+    doc = dataclasses.asdict(v)
+    doc["theorem1_lower"] = doc.pop("fiedler_lower")
     _write_json(doc, out_path)
     return EXIT_UNSTABLE_BLOCKS if v.verdict == analysis.UNSTABLE_BLOCKS else EXIT_OK
 

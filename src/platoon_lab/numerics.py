@@ -93,6 +93,32 @@ def poly_add_scaled(a: Polynomial, b: Polynomial, c: float) -> Polynomial:
     return Polynomial(tuple(out))
 
 
+def companion_roots(coeffs) -> np.ndarray:
+    """Roots of every row of an ``(..., d+1)`` array of ascending coefficients.
+
+    The monic companion matrices of all rows are solved in one stacked
+    eigenvalue call.  Returns the ``(..., d)`` roots unsorted, as a real
+    array when every root is real.
+
+    Raises
+    ------
+    ValueError
+        If ``d < 1`` ("no roots defined"), or if some row's leading
+        coefficient is one that :class:`Polynomial` trims as round-off, so
+        that the row's degree is below ``d``.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    d = c.shape[-1] - 1
+    if d < 1:
+        raise ValueError("no roots defined for a constant or zero polynomial")
+    if np.any(np.abs(c[..., -1]) <= _TRIM_REL * np.abs(c).max(axis=-1)):
+        raise ValueError("negligible leading coefficient: degree below the row width")
+    comp = np.zeros(c.shape[:-1] + (d, d))
+    comp[..., 1:, :-1] = np.eye(d - 1)
+    comp[..., :, -1] = -c[..., :-1] / c[..., -1:]
+    return np.linalg.eigvals(comp)
+
+
 def poly_roots(p: Polynomial) -> list[complex]:
     """All complex roots of ``p`` via eigenvalues of the monic companion matrix.
 
@@ -105,16 +131,7 @@ def poly_roots(p: Polynomial) -> list[complex]:
     ValueError
         If ``p`` is constant or identically zero ("no roots defined").
     """
-    p = _as_poly(p)
-    if p.degree < 1:
-        raise ValueError("no roots defined for a constant or zero polynomial")
-    c = np.asarray(p.coeffs, dtype=float)
-    monic = c / c[-1]
-    n = p.degree
-    comp = np.zeros((n, n))
-    comp[1:, :-1] = np.eye(n - 1)
-    comp[:, -1] = -monic[:-1]
-    roots = np.linalg.eigvals(comp)
+    roots = companion_roots(_as_poly(p).coeffs)
     return sorted((complex(r) for r in roots), key=lambda z: (z.real, z.imag))
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -205,13 +205,7 @@ def fiedler_lower_bound(cfg: PlatoonConfig) -> float | None:
 
 def spectrum_report(cfg: PlatoonConfig) -> SpectrumReport:
     """Spectrum of the reduced Laplacian with the asymmetry bound attached."""
-    rep = spectrum(*laplacian_bands(cfg))
-    return SpectrumReport(
-        eigenvalues=rep.eigenvalues,
-        fiedler=rep.fiedler,
-        gershgorin_upper=rep.gershgorin_upper,
-        fiedler_lower=fiedler_lower_bound(cfg),
-    )
+    return replace(spectrum(*laplacian_bands(cfg)), fiedler_lower=fiedler_lower_bound(cfg))
 
 
 def dominance_certificate(cfg: PlatoonConfig) -> DominanceCertificate:

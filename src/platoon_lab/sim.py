@@ -85,7 +85,7 @@ def dt_limit(cfg: PlatoonConfig) -> float | None:
     closed-loop block poles; None when every pole is real (no constraint
     from this rule).
     """
-    *_, w_fast = _prepared(cfg)
+    w_fast = _prepared(cfg).im_max
     if w_fast == 0.0:
         return None
     return (2.0 * math.pi / w_fast) / 20.0
@@ -104,10 +104,10 @@ def simulate(sc: SimScenario) -> TimeSeries:
     if limit is not None and sc.dt > limit:
         raise ValueError(f"dt={sc.dt} too large for the closed-loop dynamics; required dt <= {limit:.6g}")
 
-    _, _, _, all_stable, sigma, _ = _prepared(cfg)
+    prep = _prepared(cfg)
     t_end = sc.t_end
-    if not all_stable:
-        t_cap = 14.0 / sigma  # amplitude growth capped near e^14
+    if not prep.all_stable:
+        t_cap = 14.0 / prep.re_max  # amplitude growth capped near e^14
         if t_cap < t_end:
             logger.warning(
                 "unstable closed-loop blocks: capping t_end from %g to %g", t_end, t_cap

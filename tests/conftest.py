@@ -8,6 +8,8 @@ from platoon_lab import PlatoonConfig, RationalTF
 # positive feedback gain.
 VEHICLE = RationalTF(num=(1.0,), den=(0.0, 0.0, 1.0))
 CONTROLLER = RationalTF(num=(3.0, 43.0, 110.0), den=(1.0, 2.9, 1.0))
+# Sign-flipped controller: positive feedback, unstable closed-loop blocks.
+BAD_CONTROLLER = RationalTF(num=(-3.0, -43.0, -110.0), den=(1.0, 2.9, 1.0))
 
 
 def make_cfg(n, eps=0.5, mu=1.0, vehicle=VEHICLE, controller=CONTROLLER, ref_distance=1.0):

@@ -30,12 +30,11 @@ from platoon_lab.analysis import (
     TEST_INCONCLUSIVE,
     UNSTABLE_BLOCKS,
     _min_block_modulus,
+    _prepared,
     write_freq_csv,
 )
 
-from conftest import CONTROLLER, VEHICLE, make_cfg
-
-BAD_CONTROLLER = RationalTF(num=(-3.0, -43.0, -110.0), den=(1.0, 2.9, 1.0))
+from conftest import BAD_CONTROLLER, CONTROLLER, VEHICLE, make_cfg
 
 
 def random_stable_cfg(rng, n_max=10):
@@ -150,6 +149,7 @@ class TestProductResponse:
 
     def test_unstable_blocks_warn_but_evaluate(self, caplog):
         cfg = make_cfg(3, controller=BAD_CONTROLLER)
+        _prepared.cache_clear()  # the warning is logged on a cache miss only
         with caplog.at_level(logging.WARNING):
             val = product_response(cfg, 1.0)
         assert np.isfinite(val.real)

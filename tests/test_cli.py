@@ -119,6 +119,33 @@ class TestCmdHarmonic:
         assert doc["verdict"] == "test-inconclusive"
         assert doc["theorem1_lower"] is None
 
+    def test_dc_peak_at_integrator_reports_null_alpha_beta(self, tmp_path):
+        integrator = {"vehicle": {"num": [1], "den": [0, 1]}, "controller": {"num": [1], "den": [1]}}
+        out = tmp_path / "harm.json"
+        # eps = 0.5: the block at the bound peaks at DC with unit gain;
+        # eps = 1.0: no uniform bound, only the Fiedler block is searched
+        for eps, gamma_min, omega0 in ((0.5, 1.0, 0.0), (1.0, None, None)):
+            path = write_doc(tmp_path, base_doc(n=10, gains=1, asymmetries=eps, **integrator))
+            assert cli.cmd_harmonic(path, str(out)) == 0
+            doc = json.loads(out.read_text())
+            assert set(doc) == {"verdict", "fiedler", "theorem1_lower", "lambda_min_used",
+                                "hinf_gamma_min", "hinf_gamma_fiedler", "omega0", "alpha",
+                                "beta", "zeta_min", "omega_band"}
+            assert doc["verdict"] == "test-inconclusive"
+            assert doc["hinf_gamma_min"] == gamma_min and doc["omega0"] == omega0
+            assert doc["hinf_gamma_fiedler"] == 1.0
+            assert doc["alpha"] is None and doc["beta"] is None and doc["zeta_min"] is None
+
+    def test_dc_peak_without_integrator_keeps_alpha_beta(self, tmp_path):
+        doc = base_doc(n=6, vehicle={"num": [1], "den": [1, 1]},
+                       controller={"num": [2], "den": [1, 0.5]})
+        out = tmp_path / "harm.json"
+        assert cli.cmd_harmonic(write_doc(tmp_path, doc), str(out)) == 0
+        doc = json.loads(out.read_text())
+        assert doc["omega0"] == 0.0
+        assert doc["alpha"] == pytest.approx(2.0 * doc["lambda_min_used"], rel=1e-15)
+        assert doc["beta"] == 0.0
+
     def test_destabilized_controller_exits_3(self, tmp_path):
         doc = base_doc(controller={"num": [-3.0, -43.0, -110.0], "den": [1.0, 2.9, 1.0]})
         path = write_doc(tmp_path, doc)

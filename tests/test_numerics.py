@@ -10,6 +10,7 @@ from platoon_lab import (
     poly_roots,
     rtf_eval,
 )
+from platoon_lab.numerics import companion_roots
 
 
 class TestPolynomial:
@@ -151,6 +152,15 @@ class TestPolyRoots:
                 rebuilt = np.convolve(rebuilt, [-r, 1.0])
             rebuilt = rebuilt * p.coeffs[-1]
             assert np.allclose(rebuilt.real, p.coeffs, rtol=1e-6, atol=1e-6 * np.abs(p.coeffs).max())
+
+    def test_stacked_rows_match_single_solves(self):
+        rng = np.random.default_rng(6)
+        rows = np.array([self._poly_with_bounded_roots(rng, 4).coeffs for _ in range(6)])
+        stacked = companion_roots(rows.reshape(2, 3, 5))
+        assert stacked.shape == (2, 3, 4)
+        for row, roots in zip(rows, stacked.reshape(6, 4)):
+            got = sorted((complex(r) for r in roots), key=lambda z: (z.real, z.imag))
+            assert got == poly_roots(Polynomial(tuple(row)))
 
     def test_no_roots_defined(self):
         with pytest.raises(ValueError, match="no roots defined"):

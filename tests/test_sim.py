@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from platoon_lab import (
+    PlatoonConfig,
     RationalTF,
     SimScenario,
     SineSignal,
     StepSignal,
+    block_stable,
     build_state_space,
     dt_limit,
     make_block,
@@ -18,8 +20,9 @@ from platoon_lab import (
     simulate,
     spectrum_report,
 )
+from platoon_lab.analysis import _prepared
 
-from conftest import make_cfg
+from conftest import BAD_CONTROLLER, VEHICLE, make_cfg
 
 
 def realization_response(cfg, omega):
@@ -80,11 +83,33 @@ class TestSimulate:
             simulate(scenario)
 
     def test_dt_limit_is_fastest_block_oscillation(self):
-        for cfg in (make_cfg(5), make_cfg(12, eps=0.3, mu=1.7)):
+        # the stacked pole solve must reproduce the per-block solve exactly
+        unit = RationalTF((1.0,), (1.0,))
+        biproper = RationalTF(num=(1.0, 0.2, 1.0), den=(0.0, 0.5, 1.0))
+        improper = RationalTF(num=(1.0, 1.0, 1.0), den=(0.0, 1.0))
+        # (1 - s^2)/(1 + s)^2 at lam = 1 loses its leading closed-loop coefficient
+        degree_drop = RationalTF(num=(1.0, 0.0, -1.0), den=(1.0, 2.0, 1.0))
+        rng = np.random.default_rng(42)
+        cases = [make_cfg(5), make_cfg(12, eps=0.3, mu=1.7),
+                 PlatoonConfig(n=4, gains=(1.0, 2.0, 1.0), asymmetries=(0.0,) * 3,
+                               vehicle=degree_drop, controller=unit)]
+        for vehicle, controller in ((VEHICLE, BAD_CONTROLLER), (biproper, unit), (improper, unit)):
+            for _ in range(3):
+                n = int(rng.integers(2, 30))
+                cases.append(PlatoonConfig(
+                    n=n, gains=tuple(rng.uniform(0.3, 3.0, n - 1)),
+                    asymmetries=tuple(rng.uniform(0.0, 1.5, n - 1)),
+                    vehicle=vehicle, controller=controller))
+        for cfg in cases:
             M = open_loop(cfg)
-            w_fast = max(abs(r.imag) for lam in spectrum_report(cfg).eigenvalues
-                         for r in poly_roots(make_block(lam, M).tf.den))
-            assert dt_limit(cfg) == (2.0 * math.pi / w_fast) / 20.0
+            blocks = [make_block(lam, M) for lam in spectrum_report(cfg).eigenvalues]
+            poles = [r for b in blocks for r in poly_roots(b.tf.den)]
+            w_fast = max(abs(r.imag) for r in poles)
+            expect = (max(r.real for r in poles), w_fast, all(block_stable(b) for b in blocks))
+            prep = _prepared(cfg)
+            assert (prep.re_max, prep.im_max, prep.all_stable) == expect
+            assert dt_limit(cfg) == ((2.0 * math.pi / w_fast) / 20.0 if w_fast else None)
+        assert not _prepared(cases[3]).all_stable  # BAD_CONTROLLER
         first_order = RationalTF(num=(1.0,), den=(1.0, 1.0))
         real_poles = make_cfg(4, vehicle=first_order, controller=RationalTF((1.0,), (1.0,)))
         assert dt_limit(real_poles) is None
