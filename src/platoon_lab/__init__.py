@@ -3,7 +3,6 @@
 from .numerics import (
     Polynomial,
     RationalTF,
-    poly_add_scaled,
     poly_eval,
     poly_mul,
     poly_roots,
@@ -22,7 +21,6 @@ from .platoon import (
 )
 from .closedform import ThetaRoots, closedform_eigenvalues, solve_thetas
 from .analysis import (
-    Block,
     FreqSeries,
     GammaPoint,
     HarmonicVerdict,
@@ -46,13 +44,13 @@ from .sim import SimScenario, SineSignal, StepSignal, TimeSeries, dt_limit, simu
 __version__ = "0.1.0"
 
 __all__ = [
-    "Polynomial", "RationalTF", "poly_add_scaled", "poly_eval", "poly_mul",
+    "Polynomial", "RationalTF", "poly_eval", "poly_mul",
     "poly_roots", "rtf_eval",
     "DominanceCertificate", "PlatoonConfig", "SpectrumReport", "build_laplacian",
     "dominance_certificate", "fiedler_lower_bound", "laplacian_bands",
     "spectrum", "spectrum_report",
     "ThetaRoots", "closedform_eigenvalues", "solve_thetas",
-    "Block", "FreqSeries", "GammaPoint", "HarmonicVerdict", "block_stable",
+    "FreqSeries", "GammaPoint", "HarmonicVerdict", "block_stable",
     "build_state_space", "direct_response", "frequency_series", "gamma_sequence",
     "harmonic_test", "hinf_norm", "instantiate_family", "kappa_modulus_sq", "make_block",
     "open_loop", "product_response", "verify_eigen_identities", "zeta_min",

@@ -3,14 +3,15 @@
 The transfer function from the second vehicle's input to the last vehicle's
 position factors into a product of closed-loop blocks, one per reduced
 Laplacian eigenvalue: ``T(s) = (1/mu_2) * prod_i lam_i M(s) / (1 + lam_i M(s))``
-with ``M = C*G`` the per-vehicle open loop.  This module solves the poles of
-all blocks in one stacked call, evaluates the product from the eigenvalue
-vector alone (in log-magnitude/phase form so long platoons cannot overflow),
-provides the full interconnected state-space response as an independent
-oracle, and runs the harmonic-instability test: when the spectrum
-admits a size-independent positive lower bound and the closed-loop block at
-that bound has a peak gain above one, the platoon's peak gain grows at least
-geometrically with the vehicle count.
+with ``M = C*G`` the per-vehicle open loop.  This module builds all block
+denominators in one place, solves their poles in one stacked call per degree,
+evaluates the product from the eigenvalue vector alone (in log-magnitude/phase
+form so long platoons cannot overflow), provides the full interconnected
+state-space response as an independent oracle, and runs the
+harmonic-instability test: when the spectrum admits a size-independent
+positive lower bound and the closed-loop block at that bound has a peak gain
+above one, the platoon's peak gain grows at least geometrically with the
+vehicle count.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ import numpy as np
 from .numerics import (
     Polynomial,
     RationalTF,
+    _row_degrees,
     companion_roots,
-    poly_add_scaled,
     poly_eval,
     poly_mul,
     poly_roots,
@@ -56,18 +57,6 @@ _N_SCAN = 2000  # coarse log-grid size of the peak search
 
 # A closed-loop pole is stable when its real part is below this.
 _STABLE_RE = -1e-9
-
-
-@dataclass(frozen=True)
-class Block:
-    """Closed loop of the open loop M under output feedback with gain ``lam``.
-
-    ``tf`` is lam*num(M) / (den(M) + lam*num(M)); with an integrator in M the
-    DC gain is exactly 1.
-    """
-
-    lam: float
-    tf: RationalTF
 
 
 @dataclass(frozen=True)
@@ -131,18 +120,34 @@ def open_loop(cfg: PlatoonConfig) -> RationalTF:
     return RationalTF(num=num, den=den)
 
 
-def make_block(lam: float, M: RationalTF) -> Block:
-    """Closed-loop block for feedback gain ``lam`` > 0 around the open loop M."""
+def _closed_loop_dens(M: RationalTF, lams) -> np.ndarray:
+    """Closed-loop denominators ``den(M) + lam*num(M)``, one zero-padded row per gain."""
+    a, b = np.asarray(M.den.coeffs), np.asarray(M.num.coeffs)
+    lams = np.asarray(lams, dtype=float)[:, None]
+    dens = np.zeros((lams.size, max(a.size, b.size)))
+    dens[:, :a.size] = a
+    dens[:, :b.size] += lams * b
+    return dens
+
+
+def make_block(lam: float, M: RationalTF) -> RationalTF:
+    """Closed-loop block ``lam*M / (1 + lam*M)`` for feedback gain ``lam`` > 0.
+
+    The block is lam*num(M) / (den(M) + lam*num(M)); with an integrator in M
+    its DC gain is exactly 1.
+    """
     if not lam > 0:
         raise ValueError("feedback gain must be positive")
     num = poly_mul(Polynomial((float(lam),)), M.num)
-    den = poly_add_scaled(M.den, M.num, float(lam))
-    return Block(lam=float(lam), tf=RationalTF(num=num, den=den))
+    return RationalTF(num=num, den=tuple(_closed_loop_dens(M, [lam])[0]))
 
 
-def block_stable(b: Block) -> bool:
-    """True iff every closed-loop pole has real part below -1e-9."""
-    return all(r.real < _STABLE_RE for r in poly_roots(b.tf.den))
+def block_stable(tf: RationalTF) -> bool:
+    """True iff every pole of ``tf`` has real part below -1e-9.
+
+    A constant denominator has no poles, so such a block is stable.
+    """
+    return tf.den.degree == 0 or all(r.real < _STABLE_RE for r in poly_roots(tf.den))
 
 
 class _Prepared(NamedTuple):
@@ -157,38 +162,50 @@ class _Prepared(NamedTuple):
 def _prepared(cfg: PlatoonConfig) -> _Prepared:
     """Spectrum, open loop and closed-loop pole extremes of a config.
 
-    The closed-loop denominators ``den(M) + lam*num(M)`` of all eigenvalues
-    are formed as one array and solved in one stacked companion-matrix
-    eigenvalue call; no per-block object is built.  ``re_max`` and
-    ``im_max`` are the largest real part and the largest |imaginary part|
-    over all block poles, and ``all_stable`` applies the rule of
-    :func:`block_stable` to ``re_max``.
+    The closed-loop denominators of all eigenvalues are formed as one array
+    and the rows of each degree are solved in one stacked companion-matrix
+    eigenvalue call; no per-block object is built.  A row of degree 0 is a
+    zero-order block, which has no poles.  ``re_max`` and ``im_max`` are the
+    largest real part and the largest |imaginary part| over all block poles
+    (-inf and 0 when no block has a pole), and ``all_stable`` applies the
+    rule of :func:`block_stable` to ``re_max``.
     """
     rep = spectrum_report(cfg)
     M = open_loop(cfg)
-    a, b = np.asarray(M.den.coeffs), np.asarray(M.num.coeffs)
-    lams = np.asarray(rep.eigenvalues)[:, None]
-    dens = np.zeros((lams.size, max(a.size, b.size)))
-    dens[:, :a.size] = a
-    dens[:, :b.size] += lams * b  # padded a + lam*b, as poly_add_scaled forms it
-    try:
-        roots = companion_roots(dens)
-    except ValueError:  # some row has a lower degree: normalize row by row
-        roots = np.concatenate([poly_roots(Polynomial(tuple(row))) for row in dens])
-    re_max = float(roots.real.max())
+    dens = _closed_loop_dens(M, rep.eigenvalues)
+    degrees = _row_degrees(dens)
+    re_max, im_max = -math.inf, 0.0
+    for d in np.unique(degrees[degrees > 0]):
+        roots = companion_roots(dens[degrees == d, :d + 1])
+        re_max = max(re_max, float(roots.real.max()))
+        im_max = max(im_max, float(np.abs(roots.imag).max()))
     all_stable = re_max < _STABLE_RE
     if not all_stable:
         logger.warning(
             "some closed-loop blocks are unstable; frequency responses are "
             "evaluated but do not define peak gains"
         )
-    return _Prepared(rep, M, all_stable, re_max, float(np.abs(roots.imag).max()))
+    return _Prepared(rep, M, all_stable, re_max, im_max)
 
 
-def _block_peak(lam: float, M: RationalTF, band: tuple[float, float]) -> tuple[float, float]:
-    """Peak gain of the closed-loop block at ``lam`` over ``band``, and its frequency."""
-    tf = make_block(lam, M).tf
-    return hinf_norm(lambda w: rtf_eval(tf, 1j * np.asarray(w, dtype=float)), *band)
+def _block_growth(lam: float, rep: SpectrumReport, M: RationalTF, band: tuple[float, float]):
+    """Peak of the block at ``lam`` and the per-block growth it certifies.
+
+    Returns ``(gamma, omega0, alpha, beta, zeta)``: the block's peak gain over
+    ``band`` and its frequency, ``alpha + j*beta = lam*M(j*omega0)``, and the
+    minimum block modulus there over gain ratios kappa in
+    [1, lam_max/lam].  ``alpha`` and ``beta`` are None at a pole of M;
+    ``zeta`` is None then and whenever ``gamma`` does not exceed one.
+    """
+    tf = make_block(lam, M)
+    gamma, w0 = hinf_norm(lambda w: rtf_eval(tf, 1j * np.asarray(w, dtype=float)), *band)
+    if poly_eval(M.den, 1j * w0) == 0:
+        return gamma, w0, None, None, None
+    ab = lam * rtf_eval(M, 1j * w0)
+    zeta = None
+    if gamma > 1.0:
+        zeta = _min_block_modulus(ab.real, ab.imag, rep.eigenvalues[-1] / lam)
+    return gamma, w0, ab.real, ab.imag, zeta
 
 
 def product_response(cfg: PlatoonConfig, omega):
@@ -422,12 +439,10 @@ def zeta_min(cfg: PlatoonConfig, omega_band: tuple[float, float] = DEFAULT_OMEGA
         "zeta undefined" when the minimal block's peak gain is not above 1.
     """
     rep, M, *_ = _prepared(cfg)
-    lam_min = rep.fiedler
-    gamma, w0 = _block_peak(lam_min, M, omega_band)
-    if gamma <= 1.0:
+    zeta = _block_growth(rep.fiedler, rep, M, omega_band)[4]
+    if zeta is None:
         raise ValueError("zeta undefined: minimal block peak gain does not exceed 1")
-    ab = lam_min * rtf_eval(M, 1j * w0)
-    return _min_block_modulus(ab.real, ab.imag, rep.eigenvalues[-1] / lam_min)
+    return zeta
 
 
 def harmonic_test(cfg: PlatoonConfig,
@@ -451,21 +466,14 @@ def harmonic_test(cfg: PlatoonConfig,
     if not prep.all_stable:
         return HarmonicVerdict(verdict=UNSTABLE_BLOCKS, **known)
 
-    gamma_fiedler, _ = _block_peak(rep.fiedler, M, omega_band)
+    gamma_fiedler = _block_growth(rep.fiedler, rep, M, omega_band)[0]
     if rep.fiedler_lower is None:
         return HarmonicVerdict(verdict=TEST_INCONCLUSIVE, hinf_gamma_fiedler=gamma_fiedler, **known)
 
-    lam_u = rep.fiedler_lower
-    gamma_u, w0 = _block_peak(lam_u, M, omega_band)
-    alpha = beta = zeta = None
-    if poly_eval(M.den, 1j * w0) != 0:  # alpha, beta undefined at a pole of M
-        ab = lam_u * rtf_eval(M, 1j * w0)
-        alpha, beta = ab.real, ab.imag
-        if gamma_u > 1.0:
-            zeta = _min_block_modulus(alpha, beta, rep.eigenvalues[-1] / lam_u)
+    gamma_u, w0, alpha, beta, zeta = _block_growth(rep.fiedler_lower, rep, M, omega_band)
     return HarmonicVerdict(
         verdict=HARMONICALLY_UNSTABLE if gamma_u > 1.0 else TEST_INCONCLUSIVE,
-        lambda_min_used=lam_u,
+        lambda_min_used=rep.fiedler_lower,
         hinf_gamma_min=gamma_u,
         hinf_gamma_fiedler=gamma_fiedler,
         omega0=w0,

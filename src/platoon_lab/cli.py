@@ -95,9 +95,10 @@ def parse_config(doc: dict) -> tuple[platoon.PlatoonConfig, tuple[float, float],
         raise ConfigError("ref_distance must be a finite number")
     band = doc.get("omega_band", list(analysis.DEFAULT_OMEGA_BAND))
     if (not isinstance(band, list) or len(band) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in band)
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                       and math.isfinite(x) for x in band)
             or not 0 < band[0] < band[1]):
-        raise ConfigError("omega_band must be [lo, hi] with 0 < lo < hi")
+        raise ConfigError("omega_band must be [lo, hi] with finite 0 < lo < hi")
     try:
         cfg = platoon.PlatoonConfig(n=n, gains=gains, asymmetries=asym,
                                     vehicle=vehicle, controller=controller,
@@ -150,23 +151,14 @@ def _write_json(doc: dict, out_path) -> None:
 
 def cmd_spectrum(config_path: str, out_path=None) -> int:
     cfg, _, _ = load_config(config_path)
-    rep = platoon.spectrum_report(cfg)
-    doc = {
-        "eigenvalues": list(rep.eigenvalues),
-        "fiedler": rep.fiedler,
-        "gershgorin_upper": rep.gershgorin_upper,
-    }
-    if rep.fiedler_lower is None:
+    doc = dataclasses.asdict(platoon.spectrum_report(cfg))
+    lower = doc.pop("fiedler_lower")
+    if lower is None:
         logger.info("max asymmetry >= 1: no uniform lower bound on this route; "
                     "theorem1_lower and the dominance certificate are omitted")
     else:
-        doc["theorem1_lower"] = rep.fiedler_lower
-        cert = platoon.dominance_certificate(cfg)
-        doc["dominance_certificate"] = {
-            "p": cert.p,
-            "row_margins": list(cert.row_margins),
-            "lower_bound": cert.lower_bound,
-        }
+        doc["theorem1_lower"] = lower
+        doc["dominance_certificate"] = dataclasses.asdict(platoon.dominance_certificate(cfg))
     _write_json(doc, out_path)
     return EXIT_OK
 
@@ -209,9 +201,9 @@ def cmd_gamma(config_path: str, out_path=None, n_min: int = 5, n_max: int = 50,
 
 def cmd_step(config_path: str, out_path=None, t_end: float = 100.0, dt: float = 0.01) -> int:
     cfg, _, _ = load_config(config_path)
-    scenario = sim.SimScenario(cfg=cfg, leader_signal=sim.StepSignal(1.0), t_end=t_end, dt=dt)
     try:
-        series = sim.simulate(scenario)
+        series = sim.simulate(sim.SimScenario(cfg=cfg, leader_signal=sim.StepSignal(1.0),
+                                              t_end=t_end, dt=dt))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     with _output(out_path) as fh:
@@ -241,30 +233,38 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    # ``run`` looks its cmd_* function up at call time, so a wrapper put on
+    # the module attribute (as a tracer does) is the one that runs
+    def command(name, help, run):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", required=True, help="path to a JSON platoon config")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
+        p.set_defaults(run=run)
+        return p
 
-    common(sub.add_parser("spectrum", help="eigenvalues, bounds, and the dominance certificate"))
-    common(sub.add_parser("harmonic", help="harmonic-instability test verdict"))
+    command("spectrum", "eigenvalues, bounds, and the dominance certificate",
+            lambda a: cmd_spectrum(a.config, a.out))
+    command("harmonic", "harmonic-instability test verdict",
+            lambda a: cmd_harmonic(a.config, a.out))
 
-    p = sub.add_parser("freqresp", help="CSV frequency response of mu_2 * T(j*omega)")
-    common(p)
+    p = command("freqresp", "CSV frequency response of mu_2 * T(j*omega)",
+                lambda a: cmd_freqresp(a.config, a.out, a.n_points))
     p.add_argument("--points", type=int, default=400, dest="n_points")
 
-    p = sub.add_parser("gamma", help="CSV peak-gain sweep over platoon sizes")
-    common(p)
+    p = command("gamma", "CSV peak-gain sweep over platoon sizes",
+                lambda a: cmd_gamma(a.config, a.out, a.n_min, a.n_max, a.n_step))
     p.add_argument("--n-min", type=int, default=5)
     p.add_argument("--n-max", type=int, default=50)
     p.add_argument("--n-step", type=int, default=5)
 
-    p = sub.add_parser("step", help="CSV leader unit-step response")
-    common(p)
+    p = command("step", "CSV leader unit-step response",
+                lambda a: cmd_step(a.config, a.out, a.t_end, a.dt))
     p.add_argument("--t-end", type=float, default=100.0)
     p.add_argument("--dt", type=float, default=0.01)
 
     p = sub.add_parser("identities", help="check the eigenvector weight identities")
     p.add_argument("--config", required=True)
+    p.set_defaults(run=lambda a: cmd_identities(a.config))
 
     return parser
 
@@ -273,22 +273,10 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "spectrum":
-            return cmd_spectrum(args.config, args.out)
-        if args.command == "harmonic":
-            return cmd_harmonic(args.config, args.out)
-        if args.command == "freqresp":
-            return cmd_freqresp(args.config, args.out, args.n_points)
-        if args.command == "gamma":
-            return cmd_gamma(args.config, args.out, args.n_min, args.n_max, args.n_step)
-        if args.command == "step":
-            return cmd_step(args.config, args.out, args.t_end, args.dt)
-        if args.command == "identities":
-            return cmd_identities(args.config)
+        return args.run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

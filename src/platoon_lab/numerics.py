@@ -18,18 +18,26 @@ import numpy as np
 _TRIM_REL = 1e-14
 
 
+def _row_degrees(coeffs) -> np.ndarray:
+    """Degree of every row of an ``(..., d+1)`` array of finite coefficients.
+
+    Trailing coefficients trimmed as round-off do not count; a zero row has
+    degree 0.  Raises ``ValueError`` on a non-finite coefficient.
+    """
+    mag = np.abs(np.asarray(coeffs, dtype=float))
+    if not np.all(np.isfinite(mag)):
+        raise ValueError("polynomial coefficients must be finite")
+    kept = mag > _TRIM_REL * mag.max(axis=-1, keepdims=True)
+    top = mag.shape[-1] - 1 - np.argmax(kept[..., ::-1], axis=-1)
+    return np.where(kept.any(axis=-1), top, 0)
+
+
 def _normalize(coeffs) -> tuple[float, ...]:
     c = [float(x) for x in coeffs]
     if not c:
         raise ValueError("polynomial needs at least one coefficient")
-    if not all(np.isfinite(c)):
-        raise ValueError("polynomial coefficients must be finite")
-    top = max(abs(x) for x in c)
-    if top == 0.0:
-        return (0.0,)
-    while len(c) > 1 and abs(c[-1]) <= _TRIM_REL * top:
-        c.pop()
-    return tuple(c)
+    degree = int(_row_degrees(c))
+    return tuple(c[:degree + 1]) if any(c) else (0.0,)
 
 
 @dataclass(frozen=True)
@@ -83,16 +91,6 @@ def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial(tuple(np.convolve(a.coeffs, b.coeffs)))
 
 
-def poly_add_scaled(a: Polynomial, b: Polynomial, c: float) -> Polynomial:
-    """Coefficient-wise ``a + c*b`` with zero padding to the longer length."""
-    a, b = _as_poly(a), _as_poly(b)
-    n = max(len(a.coeffs), len(b.coeffs))
-    out = np.zeros(n)
-    out[: len(a.coeffs)] = a.coeffs
-    out[: len(b.coeffs)] += c * np.asarray(b.coeffs)
-    return Polynomial(tuple(out))
-
-
 def companion_roots(coeffs) -> np.ndarray:
     """Roots of every row of an ``(..., d+1)`` array of ascending coefficients.
 
@@ -103,15 +101,15 @@ def companion_roots(coeffs) -> np.ndarray:
     Raises
     ------
     ValueError
-        If ``d < 1`` ("no roots defined"), or if some row's leading
-        coefficient is one that :class:`Polynomial` trims as round-off, so
-        that the row's degree is below ``d``.
+        If ``d < 1`` ("no roots defined"), if a coefficient is not finite,
+        or if some row's leading coefficient is one that :class:`Polynomial`
+        trims as round-off, so that the row's degree is below ``d``.
     """
     c = np.asarray(coeffs, dtype=float)
     d = c.shape[-1] - 1
     if d < 1:
         raise ValueError("no roots defined for a constant or zero polynomial")
-    if np.any(np.abs(c[..., -1]) <= _TRIM_REL * np.abs(c).max(axis=-1)):
+    if np.any(_row_degrees(c) < d):
         raise ValueError("negligible leading coefficient: degree below the row width")
     comp = np.zeros(c.shape[:-1] + (d, d))
     comp[..., 1:, :-1] = np.eye(d - 1)

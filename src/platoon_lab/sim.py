@@ -52,10 +52,10 @@ class SimScenario:
     dt: float
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if self.t_end < self.dt:
-            raise ValueError("t_end must be at least dt")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ValueError("dt must be positive and finite")
+        if not (self.t_end >= self.dt and math.isfinite(self.t_end)):
+            raise ValueError("t_end must be finite and at least dt")
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,9 @@ def simulate(sc: SimScenario) -> TimeSeries:
     Raises
     ------
     ValueError
-        When dt exceeds the admissible step, naming the required dt.
+        When dt exceeds the admissible step, naming the required dt, or when
+        the integration diverges (a fast real pole the step limit does not
+        cover).
     """
     cfg = sc.cfg
     limit = dt_limit(cfg)
@@ -106,7 +108,7 @@ def simulate(sc: SimScenario) -> TimeSeries:
 
     prep = _prepared(cfg)
     t_end = sc.t_end
-    if not prep.all_stable:
+    if prep.re_max > 0:
         t_cap = 14.0 / prep.re_max  # amplitude growth capped near e^14
         if t_cap < t_end:
             logger.warning(
@@ -133,4 +135,7 @@ def simulate(sc: SimScenario) -> TimeSeries:
         k4 = A @ (x + h * k3) + B * u1
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[k + 1] = C @ x
+    if not np.all(np.isfinite(x)):  # non-finite values persist, so the last state shows them
+        raise ValueError(f"integration diverged before t={times[-1]:g}: dt={h} is too large "
+                         "for a fast closed-loop pole")
     return TimeSeries(times=times, positions=out)

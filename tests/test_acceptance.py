@@ -186,7 +186,7 @@ def test_criterion_7_two_integrator_peaks_and_alpha():
     for lam in rng.uniform(1e-6, 10.0, 100):
         lam = float(max(lam, 1e-6))
         blk = make_block(lam, M)
-        gamma, w0 = hinf_norm(lambda w: rtf_eval(blk.tf, 1j * np.asarray(w, dtype=float)))
+        gamma, w0 = hinf_norm(lambda w: rtf_eval(blk, 1j * np.asarray(w, dtype=float)))
         worst_gamma = min(worst_gamma, gamma)
         if gamma > 1.0:
             alpha = (lam * rtf_eval(M, 1j * w0)).real

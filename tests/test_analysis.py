@@ -18,7 +18,6 @@ from platoon_lab import (
     kappa_modulus_sq,
     make_block,
     open_loop,
-    poly_add_scaled,
     product_response,
     rtf_eval,
     spectrum_report,
@@ -81,23 +80,31 @@ class TestMakeBlock:
     def test_first_order_loop_closure(self):
         M = RationalTF(num=(1.0,), den=(0.0, 1.0))
         b = make_block(1.0, M)
-        assert b.tf.num.coeffs == (1.0,)
-        assert b.tf.den.coeffs == (1.0, 1.0)
+        assert b.num.coeffs == (1.0,)
+        assert b.den.coeffs == (1.0, 1.0)
 
     def test_unit_dc_gain_with_integrator(self):
         M = open_loop(make_cfg(3))
         for lam in (0.08, 0.5, 2.0, 7.0):
-            assert rtf_eval(make_block(lam, M).tf, 0.0) == pytest.approx(1.0, abs=1e-15)
+            assert rtf_eval(make_block(lam, M), 0.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_half_gain_denominator_by_hand(self):
         M = open_loop(make_cfg(3))
         b = make_block(0.5, M)
-        assert b.tf.den.coeffs == (1.5, 21.5, 56.0, 2.9, 1.0)
+        assert b.den.coeffs == (1.5, 21.5, 56.0, 2.9, 1.0)
 
     def test_denominator_built_coefficientwise(self):
         M = open_loop(make_cfg(3))
         b = make_block(0.37, M)
-        assert b.tf.den == poly_add_scaled(M.den, M.num, 0.37)
+        assert b.den.coeffs == (0.37 * 3.0, 0.37 * 43.0, 1.0 + 0.37 * 110.0, 2.9, 1.0)
+        # an improper open loop pads the denominator to the numerator's length
+        b = make_block(0.5, RationalTF(num=(0.0, 0.0, 1.0), den=(1.0, 2.0)))
+        assert b.den.coeffs == (1.0, 2.0, 0.5)
+
+    def test_cancelled_leading_terms_lower_the_degree(self):
+        b = make_block(2.0, RationalTF(num=(0.0, 0.0, -1.0), den=(1.0, 0.0, 2.0)))
+        assert b.den.coeffs == (1.0,)
+        assert block_stable(b)  # a constant denominator has no poles
 
     def test_gain_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -129,7 +136,7 @@ class TestProductResponse:
         cfg = make_cfg(2, mu=1.7)
         blk = make_block(1.7, open_loop(cfg))
         for w in (0.1, 1.0, 5.0):
-            expect = rtf_eval(blk.tf, 1j * w) / 1.7
+            expect = rtf_eval(blk, 1j * w) / 1.7
             assert product_response(cfg, w) == pytest.approx(expect, rel=1e-12)
 
     def test_matches_direct_oracle(self):
@@ -164,7 +171,7 @@ class TestDirectResponse:
     def test_two_vehicle_case(self):
         cfg = make_cfg(2)
         blk = make_block(1.0, open_loop(cfg))
-        assert direct_response(cfg, 2.0) == pytest.approx(rtf_eval(blk.tf, 2j), rel=1e-10)
+        assert direct_response(cfg, 2.0) == pytest.approx(rtf_eval(blk, 2j), rel=1e-10)
 
 
 class TestHinfNorm:
@@ -177,7 +184,7 @@ class TestHinfNorm:
     def test_uniform_bound_block_peaks_above_one(self):
         M = open_loop(make_cfg(20, eps=0.5))
         blk = make_block(0.25 / 3.0, M)
-        gamma, w0 = hinf_norm(lambda w: rtf_eval(blk.tf, 1j * np.asarray(w, dtype=float)))
+        gamma, w0 = hinf_norm(lambda w: rtf_eval(blk, 1j * np.asarray(w, dtype=float)))
         assert gamma > 1.0
         assert gamma == pytest.approx(1.3224816, rel=1e-5)
         assert w0 == pytest.approx(2.45, rel=1e-2)
@@ -186,7 +193,7 @@ class TestHinfNorm:
         M = open_loop(make_cfg(3))
         for lam in (0.01, 0.1, 1.0, 9.5):
             blk = make_block(lam, M)
-            gamma, _ = hinf_norm(lambda w: rtf_eval(blk.tf, 1j * np.asarray(w, dtype=float)))
+            gamma, _ = hinf_norm(lambda w: rtf_eval(blk, 1j * np.asarray(w, dtype=float)))
             assert gamma > 1.0
 
     def test_pd_family_over_double_integrator_peaks(self):
@@ -199,7 +206,7 @@ class TestHinfNorm:
             M = RationalTF(num=(kp, kd), den=(0.0, 0.0, 1.0))
             blk = make_block(lam, M)
             assert block_stable(blk)
-            gamma, _ = hinf_norm(lambda w: rtf_eval(blk.tf, 1j * np.asarray(w, dtype=float)))
+            gamma, _ = hinf_norm(lambda w: rtf_eval(blk, 1j * np.asarray(w, dtype=float)))
             assert gamma > 1.0
 
     def test_non_finite_response_names_frequency(self):
@@ -221,9 +228,9 @@ class TestKappaModulus:
         rep = spectrum_report(cfg)
         M = open_loop(cfg)
         blk = make_block(rep.fiedler, M)
-        _, w0 = hinf_norm(lambda w: rtf_eval(blk.tf, 1j * np.asarray(w, dtype=float)))
+        _, w0 = hinf_norm(lambda w: rtf_eval(blk, 1j * np.asarray(w, dtype=float)))
         ab = rep.fiedler * rtf_eval(M, 1j * w0)
-        direct_sq = abs(rtf_eval(blk.tf, 1j * w0)) ** 2
+        direct_sq = abs(rtf_eval(blk, 1j * w0)) ** 2
         assert kappa_modulus_sq(1.0, ab.real, ab.imag) == pytest.approx(direct_sq, rel=1e-9)
 
     def test_boundary_alpha_gives_exactly_one(self):
@@ -249,8 +256,8 @@ class TestZetaMin:
         rep = spectrum_report(cfg)
         M = open_loop(cfg)
         blk = make_block(rep.fiedler, M)
-        gamma, w0 = hinf_norm(lambda w: rtf_eval(blk.tf, 1j * np.asarray(w, dtype=float)))
-        assert zeta_min(cfg) == pytest.approx(abs(rtf_eval(blk.tf, 1j * w0)), rel=1e-9)
+        gamma, w0 = hinf_norm(lambda w: rtf_eval(blk, 1j * np.asarray(w, dtype=float)))
+        assert zeta_min(cfg) == pytest.approx(abs(rtf_eval(blk, 1j * w0)), rel=1e-9)
 
     def test_peak_gain_dominates_block_growth(self):
         cfg = make_cfg(20, eps=0.5)

@@ -58,8 +58,9 @@ class TestConfigParsing:
         assert any("overwritten" in r.message for r in caplog.records)
 
     def test_omega_band_validation(self):
-        with pytest.raises(cli.ConfigError, match="omega_band"):
-            cli.parse_config(base_doc(omega_band=[1.0, 0.1]))
+        for band in ([1.0, 0.1], [1e-3, float("inf")], [float("nan"), 1.0]):
+            with pytest.raises(cli.ConfigError, match="omega_band"):
+                cli.parse_config(base_doc(omega_band=band))
 
     def test_round_trip_identity(self):
         cfg, band, _ = cli.parse_config(base_doc(n=5, gains=[1, 2, 3, 4], asymmetries=0.25))
@@ -215,6 +216,56 @@ class TestCmdStep:
         code = cli.main(["step", "--config", path, "--dt", "1.0", "--t-end", "10"])
         assert code == 2
         assert "required dt" in capsys.readouterr().err
+
+    def test_invalid_horizon_or_step_exits_2(self, tmp_path, capsys):
+        path = write_doc(tmp_path, base_doc(n=4))
+        for flags in (["--dt", "0"], ["--dt", "-1"], ["--dt", "nan"], ["--t-end", "0"],
+                      ["--t-end", "inf"], ["--t-end", "nan"]):
+            assert cli.main(["step", "--config", path, *flags]) == 2, flags
+            assert "config error" in capsys.readouterr().err
+
+    def test_divergence_exits_2(self, tmp_path, capsys):
+        # the real pole near -lam*1e4 is far too fast for dt = 0.01, and
+        # dt_limit, which reads only oscillation frequencies, does not see it
+        doc = base_doc(n=6, vehicle={"num": [1e4], "den": [1, 1]}, controller=UNIT)
+        out = tmp_path / "step.csv"
+        assert cli.main(["step", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 2
+        assert "integration diverged" in capsys.readouterr().err
+        assert not out.exists()
+
+
+UNIT = {"num": [1], "den": [1]}
+
+
+class TestEdgeLoops:
+    """Open loops whose closed-loop blocks are zero-order or have poles at or near s = 0."""
+
+    @pytest.mark.parametrize("vehicle, asymmetries, step_error", [
+        (UNIT, 0.5, "open loop must be proper"),  # denominator 1 + lam
+        ({"num": [1, -1], "den": [1, 1]}, 0.0, "open loop must be proper"),  # lam = 1: 2 + 0*s
+        ({"num": [1e301], "den": [1, 1]}, 0.5, "integration diverged"),  # s is round-off
+    ])
+    def test_zero_order_blocks(self, tmp_path, capsys, vehicle, asymmetries, step_error):
+        doc = base_doc(n=6, asymmetries=asymmetries, vehicle=vehicle, controller=UNIT)
+        path = write_doc(tmp_path, doc)
+        out = str(tmp_path / "out")
+        for argv in (["harmonic"], ["freqresp"], ["gamma", "--n-max", "10"]):
+            assert cli.main([*argv, "--config", path, "--out", out]) == 0, argv
+        assert cli.main(["step", "--config", path, "--t-end", "10", "--out", out]) == 2
+        assert step_error in capsys.readouterr().err
+
+    @pytest.mark.parametrize("vehicle", [
+        {"num": [0, 1], "den": [0, 0, 1]},  # s/s^2: a closed-loop pole at exactly 0
+        {"num": [1e-10, 1], "den": [0, 1e-10, 1]},  # a pole in (-1e-9, 0)
+    ])
+    def test_marginal_poles_step_full_horizon(self, tmp_path, caplog, vehicle):
+        path = write_doc(tmp_path, base_doc(n=6, vehicle=vehicle, controller=UNIT))
+        out = tmp_path / "step.csv"
+        with caplog.at_level(logging.WARNING):
+            assert cli.main(["step", "--config", path, "--t-end", "10", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 1001
+        assert not any("capping" in r.message for r in caplog.records)
+        assert cli.main(["harmonic", "--config", path, "--out", str(tmp_path / "h.json")]) == 3
 
 
 class TestCmdIdentities:

@@ -4,7 +4,6 @@ import pytest
 from platoon_lab import (
     Polynomial,
     RationalTF,
-    poly_add_scaled,
     poly_eval,
     poly_mul,
     poly_roots,
@@ -84,22 +83,6 @@ class TestPolyMul:
         a = Polynomial((1.0, 0.0, 2.0))
         b = Polynomial((3.0, 1.0))
         assert poly_mul(a, b).degree == a.degree + b.degree
-
-
-class TestPolyAddScaled:
-    def test_zero_scaling(self):
-        assert poly_add_scaled(Polynomial((1.0,)), Polynomial((1.0,)), 0.0).coeffs == (1.0,)
-
-    def test_hand_addition(self):
-        assert poly_add_scaled(Polynomial((0.0, 1.0)), Polynomial((1.0,)), 2.0).coeffs == (2.0, 1.0)
-
-    def test_padding(self):
-        out = poly_add_scaled(Polynomial((1.0, 2.0)), Polynomial((0.0, 0.0, 1.0)), 0.5)
-        assert out.coeffs == (1.0, 2.0, 0.5)
-
-    def test_cancellation_renormalizes(self):
-        out = poly_add_scaled(Polynomial((1.0, 0.0, 2.0)), Polynomial((0.0, 0.0, 1.0)), -2.0)
-        assert out.coeffs == (1.0,)
 
 
 class TestPolyRoots:

@@ -72,6 +72,9 @@ class TestSignals:
             SimScenario(cfg=cfg, leader_signal=StepSignal(1.0), t_end=1.0, dt=0.0)
         with pytest.raises(ValueError):
             SimScenario(cfg=cfg, leader_signal=StepSignal(1.0), t_end=0.001, dt=0.01)
+        for t_end, dt in ((1.0, math.nan), (1.0, math.inf), (math.nan, 0.01), (math.inf, 0.01)):
+            with pytest.raises(ValueError, match="finite"):
+                SimScenario(cfg=cfg, leader_signal=StepSignal(1.0), t_end=t_end, dt=dt)
 
 
 class TestSimulate:
@@ -103,7 +106,7 @@ class TestSimulate:
         for cfg in cases:
             M = open_loop(cfg)
             blocks = [make_block(lam, M) for lam in spectrum_report(cfg).eigenvalues]
-            poles = [r for b in blocks for r in poly_roots(b.tf.den)]
+            poles = [r for b in blocks for r in poly_roots(b.den)]
             w_fast = max(abs(r.imag) for r in poles)
             expect = (max(r.real for r in poles), w_fast, all(block_stable(b) for b in blocks))
             prep = _prepared(cfg)
