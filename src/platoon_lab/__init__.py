@@ -9,6 +9,7 @@ from .numerics import (
     rtf_eval,
 )
 from .platoon import (
+    ConfigError,
     DominanceCertificate,
     PlatoonConfig,
     SpectrumReport,
@@ -46,8 +47,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Polynomial", "RationalTF", "poly_eval", "poly_mul",
     "poly_roots", "rtf_eval",
-    "DominanceCertificate", "PlatoonConfig", "SpectrumReport", "build_laplacian",
-    "dominance_certificate", "fiedler_lower_bound", "laplacian_bands",
+    "ConfigError", "DominanceCertificate", "PlatoonConfig", "SpectrumReport",
+    "build_laplacian", "dominance_certificate", "fiedler_lower_bound", "laplacian_bands",
     "spectrum", "spectrum_report",
     "ThetaRoots", "closedform_eigenvalues", "solve_thetas",
     "FreqSeries", "GammaPoint", "HarmonicVerdict", "block_stable",

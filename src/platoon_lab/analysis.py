@@ -36,6 +36,7 @@ from .numerics import (
     rtf_eval,
 )
 from .platoon import (
+    ConfigError,
     PlatoonConfig,
     SpectrumReport,
     build_laplacian,
@@ -114,32 +115,48 @@ class GammaPoint:
 
 
 def open_loop(cfg: PlatoonConfig) -> RationalTF:
-    """Per-vehicle open loop M = C*G; factors are kept, never cancelled."""
-    num = poly_mul(cfg.controller.num, cfg.vehicle.num)
-    den = poly_mul(cfg.controller.den, cfg.vehicle.den)
-    return RationalTF(num=num, den=den)
+    """Per-vehicle open loop M = C*G; factors are kept, never cancelled.
+
+    Raises :class:`ConfigError` when a coefficient overflows or the denominator underflows to 0.
+    """
+    C, G = cfg.controller, cfg.vehicle
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        num, den = np.convolve(C.num.coeffs, G.num.coeffs), np.convolve(C.den.coeffs, G.den.coeffs)
+    if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den)) and np.any(den)):
+        raise ConfigError("no open loop M = C*G: a coefficient of the product overflows "
+                          "or its denominator underflows to zero")
+    return RationalTF(num=tuple(num), den=tuple(den))
 
 
 def _closed_loop_dens(M: RationalTF, lams) -> np.ndarray:
-    """Closed-loop denominators ``den(M) + lam*num(M)``, one zero-padded row per gain."""
+    """Closed-loop denominators ``den(M) + lam*num(M)``, one zero-padded row per gain.
+
+    Raises :class:`ConfigError` naming the first gain whose row is not finite or is zero.
+    """
     a, b = np.asarray(M.den.coeffs), np.asarray(M.num.coeffs)
-    lams = np.asarray(lams, dtype=float)[:, None]
+    lams = np.asarray(lams, dtype=float)
     dens = np.zeros((lams.size, max(a.size, b.size)))
     dens[:, :a.size] = a
-    dens[:, :b.size] += lams * b
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        dens[:, :b.size] += lams[:, None] * b
+    finite = np.all(np.isfinite(dens), axis=1)
+    bad = np.flatnonzero(~finite | ~np.any(dens, axis=1))
+    if bad.size:
+        fault = "is identically zero" if finite[bad[0]] else "has a non-finite coefficient"
+        raise ConfigError(f"no closed-loop block at lam={lams[bad[0]]:.17g}: den(M) + lam*num(M) {fault}")
     return dens
 
 
 def make_block(lam: float, M: RationalTF) -> RationalTF:
     """Closed-loop block ``lam*M / (1 + lam*M)`` for feedback gain ``lam`` > 0.
 
-    The block is lam*num(M) / (den(M) + lam*num(M)); with an integrator in M
-    its DC gain is exactly 1.
+    The block is lam*num(M) / (den(M) + lam*num(M)), which must be finite
+    and not identically zero; with an integrator in M its DC gain is exactly 1.
     """
     if not lam > 0:
         raise ValueError("feedback gain must be positive")
-    num = poly_mul(Polynomial((float(lam),)), M.num)
-    return RationalTF(num=num, den=tuple(_closed_loop_dens(M, [lam])[0]))
+    den = tuple(_closed_loop_dens(M, [lam])[0])
+    return RationalTF(num=poly_mul(Polynomial((float(lam),)), M.num), den=den)
 
 
 def block_stable(tf: RationalTF) -> bool:
@@ -168,7 +185,7 @@ def _prepared(cfg: PlatoonConfig) -> _Prepared:
     zero-order block, which has no poles.  ``re_max`` and ``im_max`` are the
     largest real part and the largest |imaginary part| over all block poles
     (-inf and 0 when no block has a pole), and ``all_stable`` applies the
-    rule of :func:`block_stable` to ``re_max``.
+    rule of :func:`block_stable` to ``re_max``; a block that cannot be formed raises ConfigError.
     """
     rep = spectrum_report(cfg)
     M = open_loop(cfg)
@@ -246,7 +263,7 @@ def controllable_canonical(tf: RationalTF) -> tuple[np.ndarray, np.ndarray, np.n
     must be below the denominator degree.
     """
     if tf.num.degree >= tf.den.degree and not tf.num.is_zero:
-        raise ValueError(
+        raise ConfigError(
             "open loop must be proper: numerator degree "
             f"{tf.num.degree} is not below denominator degree {tf.den.degree}"
         )
@@ -278,7 +295,7 @@ def build_state_space(cfg: PlatoonConfig) -> tuple[np.ndarray, np.ndarray, np.nd
 
     Raises
     ------
-    ValueError
+    ConfigError
         "open loop must be proper" when the numerator degree of M is not
         below its denominator degree (the position output has no
         feedthrough).
@@ -423,7 +440,7 @@ def _min_block_modulus(alpha: float, beta: float, kappa_max: float) -> float:
                          kappa_modulus_sq(kappa_max, alpha, beta)))
 
 
-def zeta_min(cfg: PlatoonConfig, omega_band: tuple[float, float] = DEFAULT_OMEGA_BAND) -> float:
+def zeta_min(cfg: PlatoonConfig, omega_band: tuple[float, float] = DEFAULT_OMEGA_BAND) -> float | None:
     """Per-block growth factor of this platoon's peak gain.
 
     Takes the block at the actual Fiedler eigenvalue, locates its peak
@@ -431,18 +448,11 @@ def zeta_min(cfg: PlatoonConfig, omega_band: tuple[float, float] = DEFAULT_OMEGA
     kappa in [1, lam_max/lam_min] from the actual spectrum.  The result
     exceeds one whenever the minimal block's peak gain does, and then the
     platoon's peak gain is at least ``zeta_min**(n-1)`` (up to the 1/mu_2
-    input scaling).
-
-    Raises
-    ------
-    ValueError
-        "zeta undefined" when the minimal block's peak gain is not above 1.
+    input scaling).  It is None, like ``HarmonicVerdict.zeta_min``, when
+    that peak gain is not above 1 or sits at a pole of M.
     """
     rep, M, *_ = _prepared(cfg)
-    zeta = _block_growth(rep.fiedler, rep, M, omega_band)[4]
-    if zeta is None:
-        raise ValueError("zeta undefined: minimal block peak gain does not exceed 1")
-    return zeta
+    return _block_growth(rep.fiedler, rep, M, omega_band)[4]
 
 
 def harmonic_test(cfg: PlatoonConfig,
@@ -455,7 +465,8 @@ def harmonic_test(cfg: PlatoonConfig,
     size-independent lower bound, i.e. max asymmetry < 1 (otherwise
     "test-inconclusive"); and the closed-loop block at that bound must have
     peak gain above one, which yields "harmonically-unstable".  The test is
-    sufficient only: "test-inconclusive" never asserts stability.
+    sufficient only: "test-inconclusive" never asserts stability; it is also
+    the verdict, with a warning, when no block exists at the bound.
 
     The per-platoon peak gain at the actual Fiedler eigenvalue is recorded in
     ``hinf_gamma_fiedler`` as a sharper, size-specific diagnostic.
@@ -470,7 +481,12 @@ def harmonic_test(cfg: PlatoonConfig,
     if rep.fiedler_lower is None:
         return HarmonicVerdict(verdict=TEST_INCONCLUSIVE, hinf_gamma_fiedler=gamma_fiedler, **known)
 
-    gamma_u, w0, alpha, beta, zeta = _block_growth(rep.fiedler_lower, rep, M, omega_band)
+    try:
+        gamma_u, w0, alpha, beta, zeta = _block_growth(rep.fiedler_lower, rep, M, omega_band)
+    except ConfigError as exc:  # the bound is no eigenvalue, so its block may not exist
+        logger.warning("the test cannot run at the uniform bound: %s", exc)
+        return HarmonicVerdict(verdict=TEST_INCONCLUSIVE, lambda_min_used=rep.fiedler_lower,
+                               hinf_gamma_fiedler=gamma_fiedler, **known)
     return HarmonicVerdict(
         verdict=HARMONICALLY_UNSTABLE if gamma_u > 1.0 else TEST_INCONCLUSIVE,
         lambda_min_used=rep.fiedler_lower,
@@ -511,21 +527,17 @@ def gamma_sequence(template: PlatoonConfig, n_list,
 
     For every n the template is instantiated, gamma_n is the peak of the
     product-form response over the band, and the per-block growth factor is
-    attached when defined (None when the minimal block does not peak above 1).
+    attached as :func:`zeta_min` gives it (None when undefined).
     """
     points = []
     for n in n_list:
         cfg = instantiate_family(template, int(n))
         gamma, _ = hinf_norm(lambda w: product_response(cfg, w), *omega_band)
-        try:
-            zeta = zeta_min(cfg, omega_band)
-        except ValueError:
-            zeta = None
         points.append(GammaPoint(
             n=int(n),
             gamma=gamma,
             gamma_root_n=gamma ** (1.0 / n),
-            zeta_min_lower=zeta,
+            zeta_min_lower=zeta_min(cfg, omega_band),
         ))
     return points
 

@@ -24,6 +24,10 @@ from .numerics import RationalTF
 logger = logging.getLogger(__name__)
 
 
+class ConfigError(ValueError):
+    """A config, scenario or closed loop that cannot be analysed; the CLI exits 2 on it."""
+
+
 @dataclass(frozen=True)
 class PlatoonConfig:
     """Immutable description of one platoon.
@@ -54,20 +58,21 @@ class PlatoonConfig:
 
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 2:
-            raise ValueError("n must be an integer >= 2")
+            raise ConfigError("n must be an integer >= 2")
         object.__setattr__(self, "n", int(self.n))
         gains = tuple(float(g) for g in self.gains)
         asym = tuple(float(e) for e in self.asymmetries)
-        if len(gains) != self.n - 1:
-            raise ValueError(f"gains must have n-1 = {self.n - 1} entries, got {len(gains)}")
-        if len(asym) != self.n - 1:
-            raise ValueError(f"asymmetries must have n-1 = {self.n - 1} entries, got {len(asym)}")
+        for field, values in (("gains", gains), ("asymmetries", asym)):
+            if len(values) != self.n - 1:
+                raise ConfigError(f"{field} must have n-1 = {self.n - 1} entries, got {len(values)}")
         if not all(math.isfinite(g) and g > 0 for g in gains):
-            raise ValueError("all gains must be finite and > 0")
+            raise ConfigError("all gains must be finite and > 0")
         if not all(math.isfinite(e) and e >= 0 for e in asym):
-            raise ValueError("all asymmetries must be finite and >= 0")
+            raise ConfigError("all asymmetries must be finite and >= 0")
         # The trailing vehicle has no follower; its rear weight cannot act.
         asym = asym[:-1] + (0.0,)
+        if not all(math.isfinite(g + g * e) for g, e in zip(gains, asym)):
+            raise ConfigError("every Laplacian diagonal entry gain*(1 + asymmetry) must be finite")
         object.__setattr__(self, "gains", gains)
         object.__setattr__(self, "asymmetries", asym)
         object.__setattr__(self, "ref_distance", float(self.ref_distance))
@@ -138,43 +143,33 @@ def laplacian_bands(cfg: PlatoonConfig) -> tuple[np.ndarray, np.ndarray, np.ndar
 def spectrum(sub, diag, sup) -> SpectrumReport:
     """All eigenvalues of a tridiagonal reduced Laplacian, sorted ascending.
 
-    The matrix, given by its (sub, diag, sup) bands, is split into
-    irreducible tridiagonal blocks wherever a superdiagonal entry is exactly
-    zero (zero asymmetry decouples the rows above from the rows below).  Each
-    irreducible block has positive subdiagonal*superdiagonal products and is
-    symmetrized by the diagonal similarity with ratios
-    d_{k+1}/d_k = sqrt(sub/super); eigenvalues of the symmetric tridiagonal
-    blocks come from a standard implicit-shift tridiagonal eigensolver.  1x1
-    blocks contribute their diagonal directly.
+    The matrix, given by its (sub, diag, sup) bands, is symmetrized by the
+    diagonal similarity with ratios d_{k+1}/d_k = sqrt(sub/super) into the
+    symmetric tridiagonal matrix with off-diagonal sqrt(sub*sup); a zero
+    superdiagonal entry (zero asymmetry) gives a zero off-diagonal, which
+    decouples the rows above from the rows below.  One call to a standard
+    implicit-shift tridiagonal eigensolver gives the eigenvalues.
 
     Raises
     ------
+    ConfigError
+        On non-finite entries, or off-diagonal products sub*sup that overflow,
+        underflow to zero or have the wrong sign (no symmetrizing similarity).
     ValueError
-        On non-finite entries, band lengths that do not fit one square
-        matrix, or a sign pattern that does not admit the symmetrizing
-        similarity.
+        On band lengths that do not fit one square matrix.
     """
     sub, diag, sup = (np.asarray(b, dtype=float) for b in (sub, diag, sup))
     m = diag.size
     if diag.shape != (m,) or m == 0 or sub.shape != (m - 1,) or sup.shape != (m - 1,):
         raise ValueError("band lengths must be m-1, m, m-1 for an m-by-m tridiagonal matrix")
     if not all(np.all(np.isfinite(b)) for b in (sub, diag, sup)):
-        raise ValueError("reduced Laplacian has non-finite entries")
-
-    eigs = []
-    start = 0
-    cuts = [k + 1 for k in range(m - 1) if sup[k] == 0.0] + [m]
-    for end in cuts:
-        if end - start == 1:
-            eigs.append(diag[start])
-        else:
-            prod = sub[start:end - 1] * sup[start:end - 1]
-            if np.any(prod <= 0):
-                raise ValueError("off-diagonal sign pattern is not symmetrizable")
-            off = np.sqrt(prod)
-            eigs.extend(eigh_tridiagonal(diag[start:end], off, eigvals_only=True))
-        start = end
-    eigs = np.sort(np.asarray(eigs))
+        raise ConfigError("reduced Laplacian has non-finite entries")
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        prod = sub * sup
+    if not np.all(np.isfinite(prod)) or np.any((sup != 0.0) & (prod <= 0)):
+        raise ConfigError("off-diagonal sign pattern is not symmetrizable: sub*sup must be "
+                          "finite, and > 0 where sup != 0")
+    eigs = np.sort(eigh_tridiagonal(diag, np.sqrt(prod), eigvals_only=True))
     return SpectrumReport(
         eigenvalues=tuple(float(x) for x in eigs),
         fiedler=float(eigs[0]),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import _prepared, build_state_space
-from .platoon import PlatoonConfig
+from .platoon import ConfigError, PlatoonConfig
 
 logger = logging.getLogger(__name__)
 
@@ -46,6 +46,8 @@ class SineSignal:
 
 @dataclass(frozen=True)
 class SimScenario:
+    """One leader experiment; raises ConfigError unless 0 < dt <= t_end, both finite."""
+
     cfg: PlatoonConfig
     leader_signal: StepSignal | SineSignal
     t_end: float
@@ -53,9 +55,9 @@ class SimScenario:
 
     def __post_init__(self):
         if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ValueError("dt must be positive and finite")
+            raise ConfigError("dt must be positive and finite")
         if not (self.t_end >= self.dt and math.isfinite(self.t_end)):
-            raise ValueError("t_end must be finite and at least dt")
+            raise ConfigError("t_end must be finite and at least dt")
 
 
 @dataclass(frozen=True)
@@ -96,15 +98,15 @@ def simulate(sc: SimScenario) -> TimeSeries:
 
     Raises
     ------
-    ValueError
-        When dt exceeds the admissible step, naming the required dt, or when
-        the integration diverges (a fast real pole the step limit does not
-        cover).
+    ConfigError
+        When dt exceeds the admissible step (naming the required dt), the
+        integration diverges (a fast real pole the step limit does not cover),
+        the open loop is not strictly proper or a closed-loop block cannot be formed.
     """
     cfg = sc.cfg
     limit = dt_limit(cfg)
     if limit is not None and sc.dt > limit:
-        raise ValueError(f"dt={sc.dt} too large for the closed-loop dynamics; required dt <= {limit:.6g}")
+        raise ConfigError(f"dt={sc.dt} too large for the closed-loop dynamics; required dt <= {limit:.6g}")
 
     prep = _prepared(cfg)
     t_end = sc.t_end
@@ -124,18 +126,19 @@ def simulate(sc: SimScenario) -> TimeSeries:
     x = np.zeros(A.shape[0])
     out = np.empty((steps + 1, C.shape[0]))
     out[0] = C @ x
-    for k in range(steps):
-        t = times[k]
-        u0 = float(u(t))
-        u_half = float(u(t + 0.5 * h))
-        u1 = float(u(t + h))
-        k1 = A @ x + B * u0
-        k2 = A @ (x + 0.5 * h * k1) + B * u_half
-        k3 = A @ (x + 0.5 * h * k2) + B * u_half
-        k4 = A @ (x + h * k3) + B * u1
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[k + 1] = C @ x
+    with np.errstate(over="ignore", invalid="ignore"):  # a divergence is reported below
+        for k in range(steps):
+            t = times[k]
+            u0 = float(u(t))
+            u_half = float(u(t + 0.5 * h))
+            u1 = float(u(t + h))
+            k1 = A @ x + B * u0
+            k2 = A @ (x + 0.5 * h * k1) + B * u_half
+            k3 = A @ (x + 0.5 * h * k2) + B * u_half
+            k4 = A @ (x + h * k3) + B * u1
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            out[k + 1] = C @ x
     if not np.all(np.isfinite(x)):  # non-finite values persist, so the last state shows them
-        raise ValueError(f"integration diverged before t={times[-1]:g}: dt={h} is too large "
-                         "for a fast closed-loop pole")
+        raise ConfigError(f"integration diverged before t={times[-1]:g}: dt={h} is too large "
+                          "for a fast closed-loop pole")
     return TimeSeries(times=times, positions=out)

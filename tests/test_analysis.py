@@ -259,6 +259,13 @@ class TestZetaMin:
         gamma, w0 = hinf_norm(lambda w: rtf_eval(blk, 1j * np.asarray(w, dtype=float)))
         assert zeta_min(cfg) == pytest.approx(abs(rtf_eval(blk, 1j * w0)), rel=1e-9)
 
+    def test_none_without_a_peak_above_one(self):
+        # 1/(1+s) with unit control: every block lam/(s + 1 + lam) peaks below 1 at DC
+        cfg = make_cfg(6, vehicle=RationalTF(num=(1.0,), den=(1.0, 1.0)),
+                       controller=RationalTF(num=(1.0,), den=(1.0,)))
+        assert zeta_min(cfg) is None
+        assert [p.zeta_min_lower for p in gamma_sequence(cfg, [3, 6])] == [None, None]
+
     def test_peak_gain_dominates_block_growth(self):
         cfg = make_cfg(20, eps=0.5)
         z = zeta_min(cfg)

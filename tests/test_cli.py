@@ -4,7 +4,7 @@ import logging
 import numpy as np
 import pytest
 
-from platoon_lab import cli
+from platoon_lab import cli, platoon
 from platoon_lab.analysis import direct_response
 
 from conftest import make_cfg
@@ -61,6 +61,11 @@ class TestConfigParsing:
         for band in ([1.0, 0.1], [1e-3, float("inf")], [float("nan"), 1.0]):
             with pytest.raises(cli.ConfigError, match="omega_band"):
                 cli.parse_config(base_doc(omega_band=band))
+
+    def test_library_faults_are_config_errors(self):
+        assert cli.ConfigError is platoon.ConfigError
+        with pytest.raises(cli.ConfigError, match="asymmetries must have n-1 = 2 entries, got 3"):
+            cli.parse_config(base_doc(asymmetries=[0.5, 0.5, 0.5]))
 
     def test_round_trip_identity(self):
         cfg, band, _ = cli.parse_config(base_doc(n=5, gains=[1, 2, 3, 4], asymmetries=0.25))
@@ -235,6 +240,7 @@ class TestCmdStep:
 
 
 UNIT = {"num": [1], "den": [1]}
+LOOP_COMMANDS = ("harmonic", "freqresp", "gamma", "step")
 
 
 class TestEdgeLoops:
@@ -253,6 +259,52 @@ class TestEdgeLoops:
             assert cli.main([*argv, "--config", path, "--out", out]) == 0, argv
         assert cli.main(["step", "--config", path, "--t-end", "10", "--out", out]) == 2
         assert step_error in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gains, vehicle", [
+        (1.0, {"num": [-1], "den": [1]}),  # 1 + lam*M is identically zero at lam = 1
+        (1e10, {"num": [1e301], "den": [1, 1]}),  # lam*1e301 overflows at lam = 1e10
+    ])
+    def test_unformable_blocks_exit_2_from_every_command(self, tmp_path, capsys, gains, vehicle):
+        doc = base_doc(n=2, gains=gains, asymmetries=0, vehicle=vehicle, controller=UNIT)
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "out"
+        for command in LOOP_COMMANDS:
+            assert cli.main([command, "--config", path, "--out", str(out)]) == 2, command
+            err = capsys.readouterr().err
+            assert err.count("config error") == 1 and f"lam={gains:.17g}:" in err, command
+            assert not out.exists(), command
+
+    @pytest.mark.parametrize("overrides, message, commands", [
+        # mu_3 * mu_2*eps_2 = 1e200 * 0.5e200 overflows
+        ({"gains": 1e200}, "sub*sup must be finite", ("spectrum",) + LOOP_COMMANDS),
+        # and 1e-200 * 0.5e-200 underflows to 0
+        ({"gains": 1e-200}, "sub*sup must be finite", ("spectrum",) + LOOP_COMMANDS),
+        ({"vehicle": {"num": [1e200], "den": [1]}, "controller": {"num": [1e200], "den": [1]}},
+         "no open loop M = C*G", LOOP_COMMANDS),  # the numerator 1e400 overflows
+        ({"vehicle": {"num": [1], "den": [1e-200]}, "controller": {"num": [1], "den": [1e-200]}},
+         "no open loop M = C*G", LOOP_COMMANDS),  # the denominator 1e-400 underflows to 0
+    ])
+    def test_out_of_range_products_exit_2(self, tmp_path, capsys, overrides, message, commands):
+        path = write_doc(tmp_path, base_doc(n=3, asymmetries=0.5, **overrides))
+        out = tmp_path / "out"
+        for command in commands:
+            assert cli.main([command, "--config", path, "--out", str(out)]) == 2, command
+            err = capsys.readouterr().err
+            assert err.count("config error") == 1 and message in err, command
+            assert not out.exists(), command
+
+    def test_missing_block_at_the_bound_is_inconclusive(self, tmp_path, caplog):
+        # M = -2: eigenvalues 1 give the zero-order block 2, but at the uniform
+        # bound 0.5 the denominator 1 - 2*0.5 is identically zero
+        doc = base_doc(n=3, asymmetries=0, vehicle={"num": [-2], "den": [1]}, controller=UNIT)
+        out = tmp_path / "harm.json"
+        with caplog.at_level(logging.WARNING):
+            assert cli.main(["harmonic", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 0
+        got = json.loads(out.read_text())
+        assert got["verdict"] == "test-inconclusive" and got["lambda_min_used"] == 0.5
+        assert got["hinf_gamma_min"] is None and got["hinf_gamma_fiedler"] == 2.0
+        assert any("cannot run at the uniform bound" in r.message and "lam=0.5:" in r.message
+                   for r in caplog.records)
 
     @pytest.mark.parametrize("vehicle", [
         {"num": [0, 1], "den": [0, 0, 1]},  # s/s^2: a closed-loop pole at exactly 0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from platoon_lab import (
+    ConfigError,
     PlatoonConfig,
     build_laplacian,
     dominance_certificate,
@@ -51,6 +52,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="asymmetries"):
             PlatoonConfig(n=3, gains=(1.0, 1.0), asymmetries=(-0.1, 0.0),
                           vehicle=VEHICLE, controller=CONTROLLER)
+
+    def test_overflowing_diagonal_rejected(self):
+        # 1e308 * (1 + 1) overflows; the forced trailing zero keeps the last row finite
+        with pytest.raises(ConfigError, match=r"gain\*\(1 \+ asymmetry\) must be finite"):
+            make_cfg(4, eps=1.0, mu=1e308)
+        assert make_cfg(2, eps=1.0, mu=1e308).asymmetries == (0.0,)
 
     def test_too_few_vehicles(self):
         with pytest.raises(ValueError, match="n must be"):
@@ -146,6 +153,12 @@ class TestSpectrum:
     def test_unsymmetrizable_signs_rejected(self):
         with pytest.raises(ValueError, match="not symmetrizable"):
             spectrum([1.0], [1.5, 1.0], [-0.5])
+
+    def test_out_of_range_products_rejected(self):
+        # -1e200 * -0.5e200 overflows; -1e-200 * -0.5e-200 underflows to 0
+        for scale in (1e200, 1e-200):
+            with pytest.raises(ConfigError, match=r"sub\*sup must be finite"):
+                spectrum([-scale], [1.5 * scale, scale], [-0.5 * scale])
 
     def test_matches_dense_oracle_with_zero_splits(self):
         rng = np.random.default_rng(13)
