@@ -40,14 +40,15 @@ IDENTITY_TOL = 1e-6
 
 
 def _broadcast(value, n: int, field: str) -> tuple[float, ...]:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return (float(value),) * (n - 1)
-    if isinstance(value, list):
-        try:
-            return tuple(float(x) for x in value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{field} entries must be numbers") from None
-    raise ConfigError(f"{field} must be a number or an array of numbers")
+    scalar = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (scalar or isinstance(value, list)):
+        raise ConfigError(f"{field} must be a number or an array of numbers")
+    try:
+        return (float(value),) * (n - 1) if scalar else tuple(float(x) for x in value)
+    except OverflowError:  # an integer literal beyond the range of a double
+        raise ConfigError(f"{field} entries must be within the range of a double") from None
+    except (TypeError, ValueError):
+        raise ConfigError(f"{field} entries must be numbers") from None
 
 
 def _tf_from(doc: dict, field: str) -> RationalTF:
@@ -62,7 +63,7 @@ def _tf_from(doc: dict, field: str) -> RationalTF:
     try:
         return RationalTF(num=tuple(float(x) for x in sub["num"]),
                           den=tuple(float(x) for x in sub["den"]))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{field}: {exc}") from None
 
 

@@ -22,6 +22,8 @@ from .platoon import ConfigError, PlatoonConfig
 
 logger = logging.getLogger(__name__)
 
+_CHUNK = 1024  # steps per block of leader-signal samples
+
 
 @dataclass(frozen=True)
 class StepSignal:
@@ -46,7 +48,7 @@ class SineSignal:
 
 @dataclass(frozen=True)
 class SimScenario:
-    """One leader experiment; raises ConfigError unless 0 < dt <= t_end, both finite."""
+    """One leader experiment; raises ConfigError unless 0 < dt <= t_end and t_end/dt are finite."""
 
     cfg: PlatoonConfig
     leader_signal: StepSignal | SineSignal
@@ -58,6 +60,8 @@ class SimScenario:
             raise ConfigError("dt must be positive and finite")
         if not (self.t_end >= self.dt and math.isfinite(self.t_end)):
             raise ConfigError("t_end must be finite and at least dt")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ConfigError(f"t_end/dt must be finite; {self.t_end}/{self.dt} overflows")
 
 
 @dataclass(frozen=True)
@@ -76,8 +80,11 @@ class TimeSeries:
         """CSV emission: header t,pos_2,...,pos_N at full double precision."""
         n_veh = self.positions.shape[1]
         fh.write("t," + ",".join(f"pos_{i + 2}" for i in range(n_veh)) + "\n")
-        for t, row in zip(self.times, self.positions):
-            fh.write(f"{t:.17g}," + ",".join(f"{x:.17g}" for x in row) + "\n")
+        # t is formatted apart: one format over every column, t included, raised
+        # peak RSS by 0.25 MB at n = 20 (C heap growth, not data held)
+        row_format = ",".join(["%.17g"] * n_veh) + "\n"
+        for t, row in zip(self.times, self.positions):  # one row at a time bounds memory
+            fh.write("%.17g," % t + row_format % tuple(row.tolist()))
 
 
 def dt_limit(cfg: PlatoonConfig) -> float | None:
@@ -93,14 +100,52 @@ def dt_limit(cfg: PlatoonConfig) -> float | None:
     return (2.0 * math.pi / w_fast) / 20.0
 
 
+def _rk4_step(A, B, h, x, u0, u_half, u1):
+    """One classic 4th-order step of x' = A x + B u with u(t), u(t+h/2), u(t+h) given."""
+    k1 = A @ x + B * u0
+    k2 = A @ (x + 0.5 * h * k1) + B * u_half
+    k3 = A @ (x + 0.5 * h * k2) + B * u_half
+    k4 = A @ (x + h * k3) + B * u1
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _propagator(A, B, h):
+    """(T, G) with _rk4_step(A, B, h, x, *w) == T @ x + G @ w for w = (u0, u_half, u1).
+
+    The step is linear in x and w, so each column is the step applied to one
+    unit state or unit input; one column at a time keeps to matrix-vector
+    products.
+    """
+    d = A.shape[0]
+    T = np.empty((d, d))
+    G = np.empty((d, 3))
+    unit = np.zeros(d)
+    for j in range(d):
+        unit[j] = 1.0
+        T[:, j] = _rk4_step(A, B, h, unit, 0.0, 0.0, 0.0)
+        unit[j] = 0.0
+    for j, w in enumerate(np.eye(3)):
+        G[:, j] = _rk4_step(A, B, h, np.zeros(d), *w)
+    return T, G
+
+
 def simulate(sc: SimScenario) -> TimeSeries:
     """Fixed-step classic 4th-order integration from zero deviation state.
+
+    Each step is the RK4 step in closed form, x <- T x + G w with
+    w = (u(t), u(t+h/2), u(t+h)); the propagator (T, G) is precomputed once
+    from the RK4 step itself, so the integrator, its order and the dt
+    contract are those of the classic scheme.  A horizon shorter than 4d/3
+    steps (d the state dimension) does not repay building (T, G) and takes
+    the RK4 step directly.  The leader signal is sampled one chunk of steps
+    at a time.
 
     Raises
     ------
     ConfigError
         When dt exceeds the admissible step (naming the required dt), the
         integration diverges (a fast real pole the step limit does not cover),
+        the output grid does not fit in memory (naming its rows and columns),
         the open loop is not strictly proper or a closed-loop block cannot be formed.
     """
     cfg = sc.cfg
@@ -121,23 +166,26 @@ def simulate(sc: SimScenario) -> TimeSeries:
     A, B, C = build_state_space(cfg)
     steps = int(round(t_end / sc.dt))
     h = sc.dt
-    times = h * np.arange(steps + 1)
+    try:
+        out = np.empty((steps + 1, C.shape[0]))
+        times = h * np.arange(steps + 1)
+    except (MemoryError, ValueError):  # numpy's ValueError: more bytes than an index can address
+        raise ConfigError(f"output grid of {steps + 1} x {C.shape[0]} values does not fit in memory; "
+                          "raise dt or lower t_end") from None
     u = sc.leader_signal.value
     x = np.zeros(A.shape[0])
-    out = np.empty((steps + 1, C.shape[0]))
     out[0] = C @ x
+    # Building (T, G) costs d RK4 steps and one T-step costs about a quarter
+    # of an RK4 step, so the propagator pays off only over 4d/3 steps or more.
+    propagate = 4 * A.shape[0] <= 3 * steps
     with np.errstate(over="ignore", invalid="ignore"):  # a divergence is reported below
-        for k in range(steps):
-            t = times[k]
-            u0 = float(u(t))
-            u_half = float(u(t + 0.5 * h))
-            u1 = float(u(t + h))
-            k1 = A @ x + B * u0
-            k2 = A @ (x + 0.5 * h * k1) + B * u_half
-            k3 = A @ (x + 0.5 * h * k2) + B * u_half
-            k4 = A @ (x + h * k3) + B * u1
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            out[k + 1] = C @ x
+        T, G = _propagator(A, B, h) if propagate else (None, None)
+        for start in range(0, steps, _CHUNK):
+            t = times[start:min(start + _CHUNK, steps)]
+            w = np.stack([u(t), u(t + 0.5 * h), u(t + h)], axis=1)
+            for k, w_k in enumerate(w, start + 1):
+                x = T @ x + G @ w_k if propagate else _rk4_step(A, B, h, x, *w_k)
+                out[k] = C @ x
     if not np.all(np.isfinite(x)):  # non-finite values persist, so the last state shows them
         raise ConfigError(f"integration diverged before t={times[-1]:g}: dt={h} is too large "
                           "for a fast closed-loop pole")

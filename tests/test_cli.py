@@ -67,6 +67,18 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError, match="asymmetries must have n-1 = 2 entries, got 3"):
             cli.parse_config(base_doc(asymmetries=[0.5, 0.5, 0.5]))
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"gains": 10 ** 400}, "gains entries must be within the range of a double"),
+        ({"asymmetries": [0.5, 10 ** 400]}, "asymmetries entries must be within the range of a double"),
+        ({"vehicle": {"num": [10 ** 400], "den": [0, 0, 1]}},
+         "vehicle: int too large to convert to float"),
+    ])
+    def test_integer_beyond_double_range_exits_2(self, tmp_path, capsys, overrides, message):
+        path = write_doc(tmp_path, base_doc(**overrides))
+        assert cli.main(["spectrum", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error") == 1 and message in err
+
     def test_round_trip_identity(self):
         cfg, band, _ = cli.parse_config(base_doc(n=5, gains=[1, 2, 3, 4], asymmetries=0.25))
         again, band2, _ = cli.parse_config(cli.config_to_dict(cfg, band))
@@ -225,7 +237,8 @@ class TestCmdStep:
     def test_invalid_horizon_or_step_exits_2(self, tmp_path, capsys):
         path = write_doc(tmp_path, base_doc(n=4))
         for flags in (["--dt", "0"], ["--dt", "-1"], ["--dt", "nan"], ["--t-end", "0"],
-                      ["--t-end", "inf"], ["--t-end", "nan"]):
+                      ["--t-end", "inf"], ["--t-end", "nan"], ["--t-end", "1e300", "--dt", "1e-300"],
+                      ["--t-end", "1e12", "--dt", "1e-3"]):  # 1e15 rows: beyond the address space
             assert cli.main(["step", "--config", path, *flags]) == 2, flags
             assert "config error" in capsys.readouterr().err
 

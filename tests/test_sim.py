@@ -1,15 +1,19 @@
+import io
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from platoon_lab import (
+    ConfigError,
     PlatoonConfig,
     RationalTF,
     SimScenario,
     SineSignal,
     StepSignal,
+    TimeSeries,
     block_stable,
     build_state_space,
     dt_limit,
@@ -22,7 +26,7 @@ from platoon_lab import (
 )
 from platoon_lab.analysis import _prepared
 
-from conftest import BAD_CONTROLLER, VEHICLE, make_cfg
+from conftest import BAD_CONTROLLER, CONTROLLER, VEHICLE, make_cfg
 
 
 def realization_response(cfg, omega):
@@ -30,6 +34,40 @@ def realization_response(cfg, omega):
     A, B, C = build_state_space(cfg)
     z = np.linalg.solve(1j * omega * np.eye(A.shape[0]) - A, B)
     return complex(C[-1] @ z)
+
+
+def reference_rk4(sc):
+    """Independent oracle: the classic RK4 loop stepped one state vector at a time."""
+    A, B, C = build_state_space(sc.cfg)
+    h = sc.dt
+    steps = int(round(sc.t_end / h))
+    times = h * np.arange(steps + 1)
+    u = sc.leader_signal.value
+    x = np.zeros(A.shape[0])
+    out = np.empty((steps + 1, C.shape[0]))
+    out[0] = C @ x
+    for k in range(steps):
+        t = times[k]
+        u0 = float(u(t))
+        u_half = float(u(t + 0.5 * h))
+        u1 = float(u(t + h))
+        k1 = A @ x + B * u0
+        k2 = A @ (x + 0.5 * h * k1) + B * u_half
+        k3 = A @ (x + 0.5 * h * k2) + B * u_half
+        k4 = A @ (x + h * k3) + B * u1
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[k + 1] = C @ x
+    return times, out
+
+
+def f_string_csv(ts):
+    """Reference CSV writer: one f-string per value, joined per row."""
+    fh = io.StringIO()
+    n_veh = ts.positions.shape[1]
+    fh.write("t," + ",".join(f"pos_{i + 2}" for i in range(n_veh)) + "\n")
+    for t, row in zip(ts.times, ts.positions):
+        fh.write(f"{t:.17g}," + ",".join(f"{x:.17g}" for x in row) + "\n")
+    return fh.getvalue()
 
 
 class TestBuildStateSpace:
@@ -72,7 +110,8 @@ class TestSignals:
             SimScenario(cfg=cfg, leader_signal=StepSignal(1.0), t_end=1.0, dt=0.0)
         with pytest.raises(ValueError):
             SimScenario(cfg=cfg, leader_signal=StepSignal(1.0), t_end=0.001, dt=0.01)
-        for t_end, dt in ((1.0, math.nan), (1.0, math.inf), (math.nan, 0.01), (math.inf, 0.01)):
+        for t_end, dt in ((1.0, math.nan), (1.0, math.inf), (math.nan, 0.01), (math.inf, 0.01),
+                          (1e300, 1e-300)):  # the step count t_end/dt overflows
             with pytest.raises(ValueError, match="finite"):
                 SimScenario(cfg=cfg, leader_signal=StepSignal(1.0), t_end=t_end, dt=dt)
 
@@ -133,6 +172,46 @@ class TestSimulate:
         two = simulate(SimScenario(cfg=cfg, leader_signal=StepSignal(2.0), t_end=5.0, dt=0.01))
         assert np.array_equal(two.positions, 2.0 * one.positions)
 
+    @pytest.mark.parametrize("t_end, rows", [
+        (12.5, 2501),  # the propagator; 2500 steps span three leader-signal chunks, the last one partial
+        (0.02, 5),  # fewer steps than 4d/3: the RK4 step itself
+    ])
+    def test_matches_reference_rk4_loop(self, t_end, rows):
+        # seeded random platoons
+        rng = np.random.default_rng(8)
+        for signal in (StepSignal(1.5), SineSignal(0.7, 1.3)):
+            for _ in range(3):
+                n = int(rng.integers(2, 9))
+                cfg = PlatoonConfig(n=n, gains=tuple(rng.uniform(0.5, 2.0, n - 1)),
+                                    asymmetries=tuple(rng.uniform(0.0, 0.9, n - 1)),
+                                    vehicle=VEHICLE, controller=CONTROLLER)
+                sc = SimScenario(cfg=cfg, leader_signal=signal, t_end=t_end, dt=0.005)
+                ts = simulate(sc)
+                times, expect = reference_rk4(sc)
+                assert len(times) == rows and np.array_equal(ts.times, times)
+                peak = np.max(np.abs(expect))
+                assert np.max(np.abs(ts.positions - expect)) <= 1e-12 * peak
+
+    def test_no_whole_horizon_work_arrays(self):
+        # the output grid is the only allocation that grows with the horizon
+        sc = SimScenario(cfg=make_cfg(20), leader_signal=StepSignal(1.0), t_end=150.0, dt=0.002)
+        tracemalloc.start()
+        try:
+            ts = simulate(sc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < ts.positions.nbytes + 4 * 2 ** 20
+
+    @pytest.mark.parametrize("t_end, message", [
+        (1e12, "output grid of 1000000000000001 x 3 values"),  # beyond the address space
+        (1e17, "output grid of 100000000000000000001 x 3 values"),  # beyond numpy's size limit
+    ])
+    def test_oversized_output_grid_is_a_config_error(self, t_end, message):
+        sc = SimScenario(cfg=make_cfg(4), leader_signal=StepSignal(1.0), t_end=t_end, dt=1e-3)
+        with pytest.raises(ConfigError, match=message):
+            simulate(sc)
+
     def test_halving_dt_barely_changes_trajectory(self):
         cfg = make_cfg(4)
         coarse = simulate(SimScenario(cfg=cfg, leader_signal=StepSignal(1.0), t_end=20.0, dt=0.004))
@@ -189,3 +268,12 @@ class TestTimeSeries:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "t,pos_2,pos_3,pos_4"
         assert len(lines) == len(ts.times) + 1
+
+    def test_csv_bytes_equal_f_string_writer(self):
+        special = [-0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan, 0.1, -1.0 / 3.0]
+        ts = TimeSeries(times=np.array([0.0, 5e-324, 0.1, 1e308]),
+                        positions=np.array([special[:3], special[3:6], special[5:], special[::3]]))
+        fh = io.StringIO()
+        ts.write_csv(fh)
+        assert fh.getvalue() == f_string_csv(ts)
+        assert fh.getvalue().splitlines()[2] == "4.9406564584124654e-324,inf,-inf,nan"
