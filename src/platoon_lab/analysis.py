@@ -24,6 +24,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .numerics import (
     Polynomial,
@@ -39,10 +40,10 @@ from .platoon import (
     ConfigError,
     PlatoonConfig,
     SpectrumReport,
+    _coupled_bands,
+    banded_matrix,
     build_laplacian,
-    laplacian_bands,
     spectrum_report,
-    tridiagonal_matrix,
 )
 
 logger = logging.getLogger(__name__)
@@ -171,6 +172,7 @@ class _Prepared(NamedTuple):
     rep: SpectrumReport
     M: RationalTF
     all_stable: bool
+    re_min: float
     re_max: float
     im_max: float
 
@@ -182,18 +184,20 @@ def _prepared(cfg: PlatoonConfig) -> _Prepared:
     The closed-loop denominators of all eigenvalues are formed as one array
     and the rows of each degree are solved in one stacked companion-matrix
     eigenvalue call; no per-block object is built.  A row of degree 0 is a
-    zero-order block, which has no poles.  ``re_max`` and ``im_max`` are the
-    largest real part and the largest |imaginary part| over all block poles
-    (-inf and 0 when no block has a pole), and ``all_stable`` applies the
-    rule of :func:`block_stable` to ``re_max``; a block that cannot be formed raises ConfigError.
+    zero-order block, which has no poles.  ``re_min``, ``re_max`` and
+    ``im_max`` are the smallest and largest real part and the largest
+    |imaginary part| over all block poles (inf, -inf and 0 when no block has a
+    pole), and ``all_stable`` applies the rule of :func:`block_stable` to
+    ``re_max``; a block that cannot be formed raises ConfigError.
     """
     rep = spectrum_report(cfg)
     M = open_loop(cfg)
     dens = _closed_loop_dens(M, rep.eigenvalues)
     degrees = _row_degrees(dens)
-    re_max, im_max = -math.inf, 0.0
+    re_min, re_max, im_max = math.inf, -math.inf, 0.0
     for d in np.unique(degrees[degrees > 0]):
         roots = companion_roots(dens[degrees == d, :d + 1])
+        re_min = min(re_min, float(roots.real.min()))
         re_max = max(re_max, float(roots.real.max()))
         im_max = max(im_max, float(np.abs(roots.imag).max()))
     all_stable = re_max < _STABLE_RE
@@ -202,7 +206,7 @@ def _prepared(cfg: PlatoonConfig) -> _Prepared:
             "some closed-loop blocks are unstable; frequency responses are "
             "evaluated but do not define peak gains"
         )
-    return _Prepared(rep, M, all_stable, re_max, im_max)
+    return _Prepared(rep, M, all_stable, re_min, re_max, im_max)
 
 
 def _block_growth(lam: float, rep: SpectrumReport, M: RationalTF, band: tuple[float, float]):
@@ -234,7 +238,7 @@ def product_response(cfg: PlatoonConfig, omega):
 
     Raises
     ------
-    ValueError
+    ConfigError
         If some block has a pole exactly on the imaginary axis at ``omega``.
     """
     rep, M, *_ = _prepared(cfg)
@@ -248,7 +252,7 @@ def product_response(cfg: PlatoonConfig, omega):
     den = ap[None, :] + num
     if np.any(den == 0):
         bad = w[np.nonzero(np.any(den == 0, axis=0))[0][0]]
-        raise ValueError(f"response undefined at omega={bad}: closed-loop pole on the imaginary axis")
+        raise ConfigError(f"response undefined at omega={bad}: closed-loop pole on the imaginary axis")
     with np.errstate(divide="ignore"):
         logmag = np.sum(np.log(np.abs(num)) - np.log(np.abs(den)), axis=0)
     phase = np.sum(np.angle(num) - np.angle(den), axis=0)
@@ -256,11 +260,12 @@ def product_response(cfg: PlatoonConfig, omega):
     return complex(out[0]) if scalar else out
 
 
-def controllable_canonical(tf: RationalTF) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Controllable-canonical realization (A, B, C) of a strictly proper tf.
+def controllable_canonical(tf: RationalTF) -> tuple[np.ndarray, np.ndarray]:
+    """Controllable-canonical realization of a strictly proper tf, as two rows (a, c).
 
-    The position output has no direct feedthrough, so the numerator degree
-    must be below the denominator degree.
+    A_m has a unit superdiagonal and last row ``a``, B_m is the last unit
+    vector and C_m is ``c``.  The position output has no direct feedthrough,
+    so the numerator degree must be below the denominator degree.
     """
     if tf.num.degree >= tf.den.degree and not tf.num.is_zero:
         raise ConfigError(
@@ -269,18 +274,24 @@ def controllable_canonical(tf: RationalTF) -> tuple[np.ndarray, np.ndarray, np.n
         )
     den = np.asarray(tf.den.coeffs)
     num = np.asarray(tf.num.coeffs)
-    lead = den[-1]
-    den = den / lead
-    num = num / lead
-    n = len(den) - 1
-    A = np.zeros((n, n))
-    A[:-1, 1:] = np.eye(n - 1)
-    A[-1, :] = -den[:-1]
-    B = np.zeros(n)
-    B[-1] = 1.0
-    C = np.zeros(n)
-    C[: len(num)] = num
-    return A, B, C
+    c = np.zeros(len(den) - 1)
+    c[:len(num)] = num / den[-1]
+    return -(den[:-1] / den[-1]), c
+
+
+@lru_cache(maxsize=32)
+def _oracle_realization(cfg: PlatoonConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The A of :func:`build_state_space` in band storage, and C_m; cached per config for the oracle.
+
+    With m the open-loop order, A is block tridiagonal with lower bandwidth
+    2m-1 and upper bandwidth m, so its bands take O(n*m**2) floats where the
+    dense A takes ((n-1)*m)**2 (see :func:`platoon._coupled_bands`).  Both
+    arrays are read-only, since the cache shares them.
+    """
+    a, c = controllable_canonical(open_loop(cfg))
+    ab = _coupled_bands(cfg, a, c)
+    ab.flags.writeable = c.flags.writeable = False
+    return ab, c
 
 
 def build_state_space(cfg: PlatoonConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -291,7 +302,8 @@ def build_state_space(cfg: PlatoonConfig) -> tuple[np.ndarray, np.ndarray, np.nd
     the leader's position enters vehicle 2 with gain mu_2, so the map from
     leader position to the last vehicle is mu_2 times the platoon transfer
     function (unit DC gain with an integrator in the loop).  Outputs are the
-    positions of all vehicles 2..n.
+    positions of all vehicles 2..n.  A is the dense expansion of the bands
+    of :func:`_oracle_realization`, the one builder.
 
     Raises
     ------
@@ -300,45 +312,37 @@ def build_state_space(cfg: PlatoonConfig) -> tuple[np.ndarray, np.ndarray, np.nd
         below its denominator degree (the position output has no
         feedthrough).
     """
-    Am, Bm, Cm = controllable_canonical(open_loop(cfg))
-    R = tridiagonal_matrix(*laplacian_bands(cfg))
-    m = Am.shape[0]
-    nn = cfg.n - 1
-    A = np.kron(np.eye(nn), Am)
-    A -= np.kron(R, np.outer(Bm, Cm))
+    ab, c = _oracle_realization.__wrapped__(cfg)  # not cached: sim expands the bands once
+    m, nn = c.size, cfg.n - 1
     B = np.zeros(nn * m)
-    B[:m] = cfg.gains[0] * Bm
-    C = np.kron(np.eye(nn), Cm)
-    return A, B, C
-
-
-@lru_cache(maxsize=32)
-def _oracle_realization(cfg: PlatoonConfig):
-    """The realization of :func:`build_state_space` cut to T(s), cached per config.
-
-    The input enters vehicle 2 without the leader gain mu_2, and the output
-    is the last vehicle's position alone.
-    """
-    A, B, C = build_state_space(cfg)
-    return A, B / cfg.gains[0], C[-1].copy()
+    B[m - 1] = cfg.gains[0]
+    C = np.zeros((nn, nn, m))
+    C[np.arange(nn), np.arange(nn)] = c
+    return banded_matrix(ab, m), B, C.reshape(nn, -1)
 
 
 def direct_response(cfg: PlatoonConfig, omega: float) -> complex:
-    """T(j*omega) from one dense solve on the full interconnected state space.
+    """T(j*omega) from one banded solve on the full interconnected state space.
 
-    This is the oracle path: it never uses the block product.  At omega = 0
-    the solve is singular whenever the open loop has an integrator, so the DC
-    value is returned through the block formula, which is finite there.
+    This is the oracle path: it never uses the block product.  The banded LU
+    of j*omega*I - A (LAPACK ``gbsv``, partial pivoting) takes time linear in
+    the vehicle count.  At omega = 0 the solve is singular whenever the open
+    loop has an integrator, so the DC value is returned through the block
+    formula, which is finite there.
     """
     if omega == 0.0:
         return product_response(cfg, 0.0)
-    A, B, C = _oracle_realization(cfg)
-    dim = A.shape[0]
+    ab, c = _oracle_realization(cfg)
+    m = c.size
+    lhs = np.negative(ab, dtype=complex)
+    lhs[m] += 1j * omega  # band row m is the main diagonal
+    b = np.zeros(ab.shape[1], dtype=complex)
+    b[m - 1] = 1.0
     try:
-        z = np.linalg.solve(1j * omega * np.eye(dim) - A, B)
+        z = solve_banded((2 * m - 1, m), lhs, b, check_finite=False)  # a non-finite A is reported below
     except np.linalg.LinAlgError:
         raise ValueError(f"response undefined at omega={omega}") from None
-    val = complex(C @ z)
+    val = complex(c @ z[-m:])
     if not (math.isfinite(val.real) and math.isfinite(val.imag)):
         raise ValueError(f"response undefined at omega={omega}")
     return val

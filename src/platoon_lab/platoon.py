@@ -8,6 +8,9 @@ so its asymmetry is forced to zero.  Removing the leader's row and column
 leaves a tridiagonal "reduced" Laplacian whose spectrum is real, nonnegative,
 and equal to the nonzero spectrum of the full matrix.  The reduced Laplacian
 is carried as its (sub, diag, sup) bands, so memory stays linear in ``n``.
+The platoon's coupled state-space matrix is assembled from the same bands in
+LAPACK band storage, and :func:`banded_matrix` is the one dense expansion of
+band storage.
 """
 
 from __future__ import annotations
@@ -109,20 +112,44 @@ def build_laplacian(cfg: PlatoonConfig) -> np.ndarray:
     The dense reference for :func:`verify_eigen_identities` and the tests;
     every other computation works on :func:`laplacian_bands`.
     """
+    sub, diag, sup = laplacian_bands(cfg)
     L = np.zeros((cfg.n, cfg.n))
     L[1, 0] = -cfg.gains[0]
-    L[1:, 1:] = tridiagonal_matrix(*laplacian_bands(cfg))
+    L[1:, 1:] = banded_matrix(np.array([np.r_[0.0, sup], diag, np.r_[sub, 0.0]]), 1)
     return L
 
 
-def tridiagonal_matrix(sub, diag, sup) -> np.ndarray:
-    """Dense square matrix with the given (sub, diag, sup) bands and zeros elsewhere."""
-    T = np.zeros((len(diag), len(diag)))
-    rows = np.arange(len(diag))
-    T[rows, rows] = diag
-    T[rows[1:], rows[:-1]] = sub
-    T[rows[:-1], rows[1:]] = sup
-    return T
+def banded_matrix(ab: np.ndarray, upper: int) -> np.ndarray:
+    """Dense square matrix from LAPACK band storage, ``A[i, j] = ab[upper + i - j, j]``, zeros elsewhere."""
+    dim = ab.shape[1]
+    A = np.zeros((dim, dim))
+    for r, band in enumerate(ab):
+        k = upper - r  # this band row holds A[j - k, j]
+        j = np.arange(max(k, 0), min(dim, dim + k))
+        A[j - k, j] = band[j]
+    return A
+
+
+def _coupled_bands(cfg: PlatoonConfig, a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``I (x) A_m - R (x) e_m c`` in band storage, R the reduced Laplacian.
+
+    A_m is the m-by-m controllable-canonical matrix with last row ``a`` and
+    e_m c puts the row ``c`` in the last row of an m-by-m block, m = len(c).
+    Only the unit superdiagonal and the last row of each vehicle's block row
+    are nonzero; that row couples to the vehicles i-1, i, i+1 through
+    -R[i, j] c, so the lower bandwidth is 2m-1 and the upper one m.  The
+    result is the 3m-by-(n-1)m array of :func:`banded_matrix` with
+    ``upper = m``, filled one entry of ``c`` at a time.
+    """
+    sub, diag, sup = laplacian_bands(cfg)
+    m = len(c)
+    ab = np.zeros((3 * m, cfg.n - 1, m))  # ab[r, v, k] is band row r at vehicle v's state k
+    ab[m - 1, :, 1:] = 1.0  # A_m's unit superdiagonal
+    for k in range(m):
+        ab[2 * m - 1 - k, :, k] = a[k] - diag * c[k]
+        ab[3 * m - 1 - k, :-1, k] = -(sub * c[k])
+        ab[m - 1 - k, 1:, k] = -(sup * c[k])
+    return ab.reshape(3 * m, -1)
 
 
 def laplacian_bands(cfg: PlatoonConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

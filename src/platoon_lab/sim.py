@@ -23,6 +23,7 @@ from .platoon import ConfigError, PlatoonConfig
 logger = logging.getLogger(__name__)
 
 _CHUNK = 1024  # steps per block of leader-signal samples
+_RK4_REAL_BOUND = 2.785  # classic RK4 is stable on the real axis for h*lam in [-2.785, 0]
 
 
 @dataclass(frozen=True)
@@ -88,16 +89,21 @@ class TimeSeries:
 
 
 def dt_limit(cfg: PlatoonConfig) -> float | None:
-    """Largest admissible step: one twentieth of the fastest oscillation period.
+    """Largest admissible step over all closed-loop block poles.
 
-    The fastest oscillation is the largest |imaginary part| over all
-    closed-loop block poles; None when every pole is real (no constraint
-    from this rule).
+    It is the smaller of one twentieth of the fastest oscillation period,
+    from the largest |imaginary part| of a pole, and RK4's real-axis
+    stability bound h*|lam| <= 2.785, from the most negative real part; None
+    when no pole oscillates or lies in the left half-plane (no constraint
+    from these rules).
     """
-    w_fast = _prepared(cfg).im_max
-    if w_fast == 0.0:
-        return None
-    return (2.0 * math.pi / w_fast) / 20.0
+    prep = _prepared(cfg)
+    limits = []
+    if prep.im_max > 0.0:
+        limits.append((2.0 * math.pi / prep.im_max) / 20.0)
+    if prep.re_min < 0.0:
+        limits.append(_RK4_REAL_BOUND / -prep.re_min)
+    return min(limits, default=None)
 
 
 def _rk4_step(A, B, h, x, u0, u_half, u1):
@@ -144,7 +150,9 @@ def simulate(sc: SimScenario) -> TimeSeries:
     ------
     ConfigError
         When dt exceeds the admissible step (naming the required dt), the
-        integration diverges (a fast real pole the step limit does not cover),
+        integration diverges (a pole with both a fast real part and an
+        oscillation, at the edge of RK4's stability region that the step
+        limit does not cover),
         the output grid does not fit in memory (naming its rows and columns),
         the open loop is not strictly proper or a closed-loop block cannot be formed.
     """

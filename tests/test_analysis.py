@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from platoon_lab import (
+    ConfigError,
     PlatoonConfig,
     RationalTF,
     block_stable,
+    build_state_space,
     direct_response,
     frequency_series,
     gamma_sequence,
@@ -34,6 +36,13 @@ from platoon_lab.analysis import (
 )
 
 from conftest import BAD_CONTROLLER, CONTROLLER, VEHICLE, make_cfg
+
+
+def dense_response(cfg, omega):
+    """Independent oracle: T(j*omega) from one dense solve on the dense realization."""
+    A, B, C = build_state_space(cfg)
+    z = np.linalg.solve(1j * omega * np.eye(A.shape[0]) - A, B / cfg.gains[0])
+    return complex(C[-1] @ z)
 
 
 def random_stable_cfg(rng, n_max=10):
@@ -148,6 +157,13 @@ class TestProductResponse:
                 p = product_response(cfg, w)
                 assert abs(p - d) / max(abs(d), 1e-12) <= 1e-6
 
+    def test_pole_on_the_axis_is_config_error(self):
+        # M = s/s^2 closes to s*(s + lam): every block has a pole at s = 0
+        cfg = make_cfg(6, vehicle=RationalTF((0.0, 1.0), (0.0, 0.0, 1.0)),
+                       controller=RationalTF((1.0,), (1.0,)))
+        with pytest.raises(ConfigError, match="response undefined at omega=0.0: closed-loop pole"):
+            product_response(cfg, np.array([1.0, 0.0]))
+
     def test_array_evaluation_matches_scalars(self):
         cfg = make_cfg(5)
         w = np.array([0.1, 1.0, 10.0])
@@ -172,6 +188,37 @@ class TestDirectResponse:
         cfg = make_cfg(2)
         blk = make_block(1.0, open_loop(cfg))
         assert direct_response(cfg, 2.0) == pytest.approx(rtf_eval(blk, 2j), rel=1e-10)
+
+    def test_banded_solve_matches_dense_solve(self):
+        rng = np.random.default_rng(9)
+        unit = RationalTF((1.0,), (1.0,))
+        cases = [random_stable_cfg(rng, n_max=30) for _ in range(6)]  # order 4, numerator degree 2
+        for n in (2, *rng.integers(3, 31, 3)):  # orders 1 and 2, numerator degree order - 1: the widest upper band
+            n = int(n)
+            a, b, c = rng.uniform(0.2, 3.0, 3)
+            for vehicle in (RationalTF((a,), (b, 1.0)), RationalTF((1.0, a), (c, b, 1.0))):
+                cases.append(PlatoonConfig(n=n, gains=tuple(rng.uniform(0.5, 2.5, n - 1)),
+                                           asymmetries=tuple(rng.uniform(0.0, 0.9, n - 1)),
+                                           vehicle=vehicle, controller=unit))
+        for cfg in cases:
+            for w in 10.0 ** rng.uniform(-2.0, 2.0, 4):
+                expect = dense_response(cfg, w)
+                assert abs(direct_response(cfg, w) - expect) <= 1e-12 * abs(expect)
+
+    def test_matches_product_at_n5000(self):
+        # d = 20 000 states: a dense solve would take 6.4 GB; the response
+        # spans 1 to 1e258 over these frequencies
+        cfg = make_cfg(5000, eps=0.5)
+        for w in (0.01, 0.3, 1.0, 3.0):
+            expect = product_response(cfg, w)
+            assert 0.0 < abs(expect) < math.inf
+            assert abs(direct_response(cfg, w) - expect) <= 1e-6 * abs(expect)
+
+    def test_pole_on_the_axis_is_value_error(self):
+        # M = 1/s^2 at lam = 1 closes to s^2 + 1: j*I - A is exactly singular at omega = 1
+        cfg = make_cfg(2, vehicle=VEHICLE, controller=RationalTF((1.0,), (1.0,)))
+        with pytest.raises(ValueError, match="response undefined at omega=1.0"):
+            direct_response(cfg, 1.0)
 
 
 class TestHinfNorm:

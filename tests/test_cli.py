@@ -243,13 +243,17 @@ class TestCmdStep:
             assert "config error" in capsys.readouterr().err
 
     def test_divergence_exits_2(self, tmp_path, capsys):
-        # the real pole near -lam*1e4 is far too fast for dt = 0.01, and
-        # dt_limit, which reads only oscillation frequencies, does not see it
+        # the real pole near -lam*1e4 is far too fast for dt = 0.01; dt_limit
+        # names the dt that RK4's real-axis stability bound requires, and that
+        # dt integrates
         doc = base_doc(n=6, vehicle={"num": [1e4], "den": [1, 1]}, controller=UNIT)
-        out = tmp_path / "step.csv"
-        assert cli.main(["step", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 2
-        assert "integration diverged" in capsys.readouterr().err
-        assert not out.exists()
+        path, out = write_doc(tmp_path, doc), tmp_path / "step.csv"
+        assert cli.main(["step", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "required dt" in err and not out.exists()
+        required = err.rsplit("<= ", 1)[1].strip()
+        assert cli.main(["step", "--config", path, "--out", str(out), "--t-end", "0.1", "--dt", required]) == 0
+        assert np.all(np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)))
 
 
 UNIT = {"num": [1], "den": [1]}
@@ -331,6 +335,16 @@ class TestEdgeLoops:
         assert len(out.read_text().splitlines()) == 1 + 1001
         assert not any("capping" in r.message for r in caplog.records)
         assert cli.main(["harmonic", "--config", path, "--out", str(tmp_path / "h.json")]) == 3
+
+    def test_pole_at_zero_exits_2_from_gamma(self, tmp_path, capsys):
+        # s/s^2 closes to s*(s + lam): the DC value of every peak search is undefined
+        doc = base_doc(n=6, vehicle={"num": [0, 1], "den": [0, 0, 1]}, controller=UNIT)
+        path, out = write_doc(tmp_path, doc), tmp_path / "out"
+        assert cli.main(["gamma", "--config", path, "--n-max", "10", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: response undefined at omega=0.0: closed-loop pole on the imaginary axis" in err
+        assert not out.exists()
+        assert cli.main(["harmonic", "--config", path, "--out", str(out)]) == 3
 
 
 class TestCmdIdentities:

@@ -73,7 +73,7 @@ def platoons(draw):
 
 
 def per_block_extremes(cfg):
-    """(re_max, im_max, all_stable) from one block object and pole solve per eigenvalue.
+    """(re_min, re_max, im_max, all_stable) from one block object and pole solve per eigenvalue.
 
     When some block cannot be formed, the first such eigenvalue in its place:
     that block's denominator, summed here coefficient by coefficient, is
@@ -89,7 +89,8 @@ def per_block_extremes(cfg):
         except ValueError:
             return lam
     poles = [r for b in blocks if b.den.degree > 0 for r in poly_roots(b.den)]
-    return (max((r.real for r in poles), default=-math.inf),
+    return (min((r.real for r in poles), default=math.inf),
+            max((r.real for r in poles), default=-math.inf),
             max((abs(r.imag) for r in poles), default=0.0),
             all(block_stable(b) for b in blocks))
 
@@ -103,4 +104,4 @@ def test_prepared_pole_extremes_equal_per_block_solves(cfg):
             _prepared(cfg)
     else:
         prep = _prepared(cfg)
-        assert (prep.re_max, prep.im_max, prep.all_stable) == expect
+        assert (prep.re_min, prep.re_max, prep.im_max, prep.all_stable) == expect

@@ -15,6 +15,7 @@ from platoon_lab import (
     StepSignal,
     TimeSeries,
     block_stable,
+    build_laplacian,
     build_state_space,
     dt_limit,
     make_block,
@@ -24,7 +25,7 @@ from platoon_lab import (
     simulate,
     spectrum_report,
 )
-from platoon_lab.analysis import _prepared
+from platoon_lab.analysis import _prepared, controllable_canonical
 
 from conftest import BAD_CONTROLLER, CONTROLLER, VEHICLE, make_cfg
 
@@ -34,6 +35,19 @@ def realization_response(cfg, omega):
     A, B, C = build_state_space(cfg)
     z = np.linalg.solve(1j * omega * np.eye(A.shape[0]) - A, B)
     return complex(C[-1] @ z)
+
+
+def kron_state_space(cfg):
+    """Reference realization: I (x) A_m - R (x) B_m C_m assembled with Kronecker products."""
+    a, Cm = controllable_canonical(open_loop(cfg))
+    nn, m = cfg.n - 1, Cm.size
+    Am = np.eye(m, k=1)
+    Am[-1] = a
+    Bm = np.eye(m)[-1]
+    R = build_laplacian(cfg)[1:, 1:]
+    B = np.zeros(nn * m)
+    B[:m] = cfg.gains[0] * Bm
+    return np.kron(np.eye(nn), Am) - np.kron(R, np.outer(Bm, Cm)), B, np.kron(np.eye(nn), Cm)
 
 
 def reference_rk4(sc):
@@ -78,6 +92,25 @@ class TestBuildStateSpace:
         assert A.shape == (6 * order, 6 * order)
         assert B.shape == (6 * order,)
         assert C.shape == (6, 6 * order)
+
+    def test_equals_kron_assembly(self):
+        # seeded random open loops of order 1 to 4; a numerator of degree
+        # m - 1 fills the widest upper band
+        rng = np.random.default_rng(5)
+        unit = RationalTF((1.0,), (1.0,))
+        cases = [make_cfg(9, eps=0.3, mu=1.7)]  # the benchmark loop: order 4, numerator degree 2
+        for m in (1, 2, 3, 4):
+            for num_degree in (m - 1, 0):
+                n = int(rng.integers(2, 12))
+                vehicle = RationalTF(num=tuple(rng.uniform(-2.0, 2.0, num_degree + 1)),
+                                     den=tuple(rng.uniform(-2.0, 2.0, m)) + (float(rng.uniform(0.5, 2.0)),))
+                cases.append(PlatoonConfig(n=n, gains=tuple(rng.uniform(0.3, 3.0, n - 1)),
+                                           asymmetries=tuple(rng.uniform(0.0, 1.5, n - 1)),
+                                           vehicle=vehicle, controller=unit))
+        for cfg in cases:
+            for got, expect in zip(build_state_space(cfg), kron_state_space(cfg)):
+                # == treats -0.0 and 0.0 as equal; the sign of a zero may differ
+                assert got.shape == expect.shape and np.array_equal(got, expect)
 
     def test_frequency_response_matches_product_form(self):
         rng = np.random.default_rng(30)
@@ -146,15 +179,21 @@ class TestSimulate:
             M = open_loop(cfg)
             blocks = [make_block(lam, M) for lam in spectrum_report(cfg).eigenvalues]
             poles = [r for b in blocks for r in poly_roots(b.den)]
-            w_fast = max(abs(r.imag) for r in poles)
-            expect = (max(r.real for r in poles), w_fast, all(block_stable(b) for b in blocks))
+            w_fast, re_min = max(abs(r.imag) for r in poles), min(r.real for r in poles)
+            expect = (re_min, max(r.real for r in poles), w_fast, all(block_stable(b) for b in blocks))
             prep = _prepared(cfg)
-            assert (prep.re_max, prep.im_max, prep.all_stable) == expect
-            assert dt_limit(cfg) == ((2.0 * math.pi / w_fast) / 20.0 if w_fast else None)
+            assert (prep.re_min, prep.re_max, prep.im_max, prep.all_stable) == expect
+            limits = [(2.0 * math.pi / w_fast) / 20.0] if w_fast else []
+            limits += [2.785 / -re_min] if re_min < 0 else []
+            assert dt_limit(cfg) == min(limits, default=None)
         assert not _prepared(cases[3]).all_stable  # BAD_CONTROLLER
         first_order = RationalTF(num=(1.0,), den=(1.0, 1.0))
         real_poles = make_cfg(4, vehicle=first_order, controller=RationalTF((1.0,), (1.0,)))
-        assert dt_limit(real_poles) is None
+        # no pole oscillates: RK4's real-axis bound at the fastest pole, -1 - lam_max, is the limit
+        assert dt_limit(real_poles) == 2.785 / (1.0 + spectrum_report(real_poles).eigenvalues[-1])
+        no_left_poles = make_cfg(4, vehicle=RationalTF((1.0,), (-1.0, 1.0)),
+                                 controller=RationalTF((-1.0,), (1.0,)))  # poles at 1 + lam > 0
+        assert dt_limit(no_left_poles) is None
 
     def test_two_vehicle_step_settles_to_amplitude(self):
         cfg = make_cfg(2)
