@@ -5,13 +5,12 @@ position factors into a product of closed-loop blocks, one per reduced
 Laplacian eigenvalue: ``T(s) = (1/mu_2) * prod_i lam_i M(s) / (1 + lam_i M(s))``
 with ``M = C*G`` the per-vehicle open loop.  This module builds all block
 denominators in one place, solves their poles in one stacked call per degree,
-evaluates the product from the eigenvalue vector alone (in log-magnitude/phase
-form so long platoons cannot overflow), provides the full interconnected
-state-space response as an independent oracle, and runs the
-harmonic-instability test: when the spectrum admits a size-independent
-positive lower bound and the closed-loop block at that bound has a peak gain
-above one, the platoon's peak gain grows at least geometrically with the
-vehicle count.
+evaluates the product from the eigenvalue vector alone with z = 1/M, one
+complex log per block, provides the full interconnected state-space response
+as an independent oracle, and runs the harmonic-instability test: when the
+spectrum admits a size-independent positive lower bound and the closed-loop
+block at that bound has a peak gain above one, the platoon's peak gain grows
+at least geometrically with the vehicle count.
 """
 
 from __future__ import annotations
@@ -232,31 +231,27 @@ def _block_growth(lam: float, rep: SpectrumReport, M: RationalTF, band: tuple[fl
 def product_response(cfg: PlatoonConfig, omega):
     """Platoon transfer function T(j*omega) from the product of blocks.
 
-    Accepts a scalar or an ndarray of frequencies.  The product over the n-1
-    blocks is accumulated in log-magnitude and phase so that long platoons
-    with large per-block gains stay inside floating-point range.
+    Accepts a scalar or an ndarray of frequencies.  With z = 1/M each block
+    is 1/(1 + z/lam_i), so T = exp(-sum_i log1p(z/lam_i)) / mu_2: one complex
+    log per block.  T is exactly 0 where z is infinite: num(M) = 0 or den(M)
+    overflows.
 
     Raises
     ------
     ConfigError
-        If some block has a pole exactly on the imaginary axis at ``omega``.
+        If some block has a pole exactly on the imaginary axis at ``omega``:
+        z/lam_i = -1, or num(M) = den(M) = 0.
     """
     rep, M, *_ = _prepared(cfg)
     scalar = np.ndim(omega) == 0
     w = np.atleast_1d(np.asarray(omega, dtype=float))
-    s = 1j * w
-    bq = poly_eval(M.num, s)
-    ap = poly_eval(M.den, s)
-    lams = np.asarray(rep.eigenvalues)[:, None]
-    num = lams * bq[None, :]
-    den = ap[None, :] + num
-    if np.any(den == 0):
-        bad = w[np.nonzero(np.any(den == 0, axis=0))[0][0]]
-        raise ConfigError(f"response undefined at omega={bad}: closed-loop pole on the imaginary axis")
-    with np.errstate(divide="ignore"):
-        logmag = np.sum(np.log(np.abs(num)) - np.log(np.abs(den)), axis=0)
-    phase = np.sum(np.angle(num) - np.angle(den), axis=0)
-    out = np.exp(logmag + 1j * phase) / cfg.gains[0]
+    a, b = poly_eval(M.den, 1j * w), poly_eval(M.num, 1j * w)
+    z_inf = (b == 0) | np.isinf(a)
+    x = np.divide(a, b, out=np.zeros_like(a), where=~z_inf) / np.asarray(rep.eigenvalues)[:, None]
+    pole = z_inf & (a == 0) | np.any(x == -1, axis=0)
+    if np.any(pole):
+        raise ConfigError(f"response undefined at omega={w[pole][0]}: closed-loop pole on the imaginary axis")
+    out = np.where(z_inf, 0, np.exp(-np.sum(np.log1p(x, out=x), axis=0))) / cfg.gains[0]
     return complex(out[0]) if scalar else out
 
 
@@ -265,9 +260,10 @@ def controllable_canonical(tf: RationalTF) -> tuple[np.ndarray, np.ndarray]:
 
     A_m has a unit superdiagonal and last row ``a``, B_m is the last unit
     vector and C_m is ``c``.  The position output has no direct feedthrough,
-    so the numerator degree must be below the denominator degree.
+    so the numerator degree must be below the denominator degree, which
+    must be positive.
     """
-    if tf.num.degree >= tf.den.degree and not tf.num.is_zero:
+    if tf.den.degree == 0 or tf.num.degree >= tf.den.degree and not tf.num.is_zero:
         raise ConfigError(
             "open loop must be proper: numerator degree "
             f"{tf.num.degree} is not below denominator degree {tf.den.degree}"

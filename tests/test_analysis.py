@@ -1,6 +1,7 @@
 import io
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,28 @@ class TestProductResponse:
                        controller=RationalTF((1.0,), (1.0,)))
         with pytest.raises(ConfigError, match="response undefined at omega=0.0: closed-loop pole"):
             product_response(cfg, np.array([1.0, 0.0]))
+
+    def test_infinite_z_gives_zero(self):
+        # M = s/(s+1)^3: z = 1/M is infinite at s = 0, where every block is 0
+        cfg = make_cfg(6, vehicle=RationalTF((1.0,), (1.0, 2.0, 1.0)),
+                       controller=RationalTF((0.0, 1.0), (1.0, 1.0)))
+        assert product_response(cfg, 0.0) == 0
+        vals = product_response(cfg, np.array([0.0, 1.0]))
+        assert vals[0] == 0 and vals[1] == pytest.approx(product_response(cfg, 1.0), rel=1e-15)
+        with np.errstate(over="ignore"):  # den(M) = s^2 (1 + 2.9s + s^2) overflows to inf + finite j
+            assert product_response(make_cfg(6), np.array([1.0, 1e90]))[1] == 0
+
+    def test_peak_memory_is_one_complex_grid(self):
+        cfg = make_cfg(401)
+        grid = np.logspace(-3, 3, 2000)
+        product_response(cfg, 1.0)  # the spectrum and poles are cached outside the trace
+        tracemalloc.start()
+        try:
+            product_response(cfg, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 400 * grid.size * 16  # one (n-1)-by-F complex grid is 12.8 MB
 
     def test_array_evaluation_matches_scalars(self):
         cfg = make_cfg(5)

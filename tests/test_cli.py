@@ -267,6 +267,7 @@ class TestEdgeLoops:
         (UNIT, 0.5, "open loop must be proper"),  # denominator 1 + lam
         ({"num": [1, -1], "den": [1, 1]}, 0.0, "open loop must be proper"),  # lam = 1: 2 + 0*s
         ({"num": [1e301], "den": [1, 1]}, 0.5, "integration diverged"),  # s is round-off
+        ({"num": [0], "den": [1]}, 0.5, "open loop must be proper"),  # M = 0 has no state
     ])
     def test_zero_order_blocks(self, tmp_path, capsys, vehicle, asymmetries, step_error):
         doc = base_doc(n=6, asymmetries=asymmetries, vehicle=vehicle, controller=UNIT)
@@ -345,6 +346,15 @@ class TestEdgeLoops:
         assert "config error: response undefined at omega=0.0: closed-loop pole on the imaginary axis" in err
         assert not out.exists()
         assert cli.main(["harmonic", "--config", path, "--out", str(out)]) == 3
+
+    def test_zero_of_m_at_dc_exits_0(self, tmp_path):
+        # M = s/(s+1)^3: T(0) = 0, which the peak search of gamma evaluates
+        doc = base_doc(n=6, vehicle={"num": [1], "den": [1, 2, 1]}, controller={"num": [0, 1], "den": [1, 1]})
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "out"
+        assert cli.main(["freqresp", "--config", path, "--out", str(out)]) == 0
+        assert cli.main(["gamma", "--config", path, "--n-max", "10", "--out", str(out)]) == 0
+        assert np.all(np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1, usecols=1)))
 
 
 class TestCmdIdentities:

@@ -17,11 +17,12 @@ from platoon_lab import (  # noqa: E402
     block_stable,
     open_loop,
     poly_roots,
+    product_response,
     spectrum_report,
 )
 from platoon_lab.analysis import _prepared  # noqa: E402
 
-from conftest import CONTROLLER  # noqa: E402
+from conftest import CONTROLLER, VEHICLE  # noqa: E402
 
 UNIT = RationalTF((1.0,), (1.0,))
 
@@ -105,3 +106,28 @@ def test_prepared_pole_extremes_equal_per_block_solves(cfg):
     else:
         prep = _prepared(cfg)
         assert (prep.re_min, prep.re_max, prep.im_max, prep.all_stable) == expect
+
+
+@st.composite
+def golden_loop_platoons(draw):
+    """The benchmark loop with n <= 40, gains in [0.1, 10] and asymmetries in [0, 1.5]."""
+    n = draw(st.integers(2, 40))
+    gains = draw(st.lists(st.floats(0.1, 10.0), min_size=n - 1, max_size=n - 1))
+    asym = draw(st.lists(st.floats(0.0, 1.5), min_size=n - 1, max_size=n - 1))
+    return PlatoonConfig(n=n, gains=gains, asymmetries=asym, vehicle=VEHICLE, controller=CONTROLLER)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(golden_loop_platoons(), st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
+def test_product_response_matches_mpmath_product(cfg, log_omegas):
+    mpmath = pytest.importorskip("mpmath")
+    M = open_loop(cfg)
+    omegas = 10.0 ** np.asarray(log_omegas)
+    got = product_response(cfg, omegas)
+    lams = spectrum_report(cfg).eigenvalues
+    with mpmath.workdps(50):  # the same float eigenvalues and coefficients, 50-digit arithmetic
+        for w, val in zip(omegas, got):
+            s = mpmath.mpc(0, w)
+            m = mpmath.polyval(M.num.coeffs[::-1], s) / mpmath.polyval(M.den.coeffs[::-1], s)
+            expect = mpmath.fprod(lam * m / (1 + lam * m) for lam in lams) / cfg.gains[0]
+            assert abs(val - complex(expect)) <= 1e-12 * abs(complex(expect))
