@@ -25,7 +25,6 @@ from .analysis import (
     FreqSeries,
     GammaPoint,
     HarmonicVerdict,
-    block_stable,
     build_state_space,
     direct_response,
     frequency_series,
@@ -51,7 +50,7 @@ __all__ = [
     "build_laplacian", "dominance_certificate", "fiedler_lower_bound", "laplacian_bands",
     "spectrum", "spectrum_report",
     "ThetaRoots", "closedform_eigenvalues", "solve_thetas",
-    "FreqSeries", "GammaPoint", "HarmonicVerdict", "block_stable",
+    "FreqSeries", "GammaPoint", "HarmonicVerdict",
     "build_state_space", "direct_response", "frequency_series", "gamma_sequence",
     "harmonic_test", "hinf_norm", "instantiate_family", "kappa_modulus_sq", "make_block",
     "open_loop", "product_response", "verify_eigen_identities", "zeta_min",

@@ -15,7 +15,6 @@ at least geometrically with the vehicle count.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -32,7 +31,6 @@ from .numerics import (
     companion_roots,
     poly_eval,
     poly_mul,
-    poly_roots,
     rtf_eval,
 )
 from .platoon import (
@@ -40,8 +38,10 @@ from .platoon import (
     PlatoonConfig,
     SpectrumReport,
     _coupled_bands,
+    _family_log_gains,
     banded_matrix,
     build_laplacian,
+    instantiate_family,
     spectrum_report,
 )
 
@@ -159,14 +159,6 @@ def make_block(lam: float, M: RationalTF) -> RationalTF:
     return RationalTF(num=poly_mul(Polynomial((float(lam),)), M.num), den=den)
 
 
-def block_stable(tf: RationalTF) -> bool:
-    """True iff every pole of ``tf`` has real part below -1e-9.
-
-    A constant denominator has no poles, so such a block is stable.
-    """
-    return tf.den.degree == 0 or all(r.real < _STABLE_RE for r in poly_roots(tf.den))
-
-
 class _Prepared(NamedTuple):
     rep: SpectrumReport
     M: RationalTF
@@ -186,8 +178,8 @@ def _prepared(cfg: PlatoonConfig) -> _Prepared:
     zero-order block, which has no poles.  ``re_min``, ``re_max`` and
     ``im_max`` are the smallest and largest real part and the largest
     |imaginary part| over all block poles (inf, -inf and 0 when no block has a
-    pole), and ``all_stable`` applies the rule of :func:`block_stable` to
-    ``re_max``; a block that cannot be formed raises ConfigError.
+    pole), and ``all_stable`` holds when ``re_max`` is below -1e-9; a
+    block that cannot be formed raises ConfigError.
     """
     rep = spectrum_report(cfg)
     M = open_loop(cfg)
@@ -352,6 +344,12 @@ def _mag_at(response, omega: float) -> float:
     return mag
 
 
+def _scan_grid(omega_lo: float, omega_hi: float) -> np.ndarray:
+    if not 0 < omega_lo < omega_hi:
+        raise ValueError("need 0 < omega_lo < omega_hi")
+    return np.logspace(math.log10(omega_lo), math.log10(omega_hi), _N_SCAN)
+
+
 def hinf_norm(response, omega_lo: float = DEFAULT_OMEGA_BAND[0],
               omega_hi: float = DEFAULT_OMEGA_BAND[1]):
     """Peak magnitude of a frequency response over a band, plus its location.
@@ -376,11 +374,14 @@ def hinf_norm(response, omega_lo: float = DEFAULT_OMEGA_BAND[0],
     The reported value is the maximum over the scanned band plus DC, which
     equals the supremum over all frequencies for responses that roll off
     outside the band; widen the band for systems with activity outside it.
+    :func:`_refine` does all but the scan; :func:`gamma_sequence` reuses it.
     """
-    if not 0 < omega_lo < omega_hi:
-        raise ValueError("need 0 < omega_lo < omega_hi")
-    grid = np.logspace(math.log10(omega_lo), math.log10(omega_hi), _N_SCAN)
-    mags = np.abs(np.asarray(response(grid)))
+    grid = _scan_grid(omega_lo, omega_hi)
+    return _refine(response, grid, np.abs(np.asarray(response(grid))))
+
+
+def _refine(response, grid: np.ndarray, mags: np.ndarray):
+    """:func:`hinf_norm` from its scan magnitudes ``mags``; ``response`` gets one frequency a call."""
     if not np.all(np.isfinite(mags)):
         bad = grid[np.nonzero(~np.isfinite(mags))[0][0]]
         raise ValueError(f"non-finite response at omega={bad}")
@@ -500,41 +501,30 @@ def harmonic_test(cfg: PlatoonConfig,
     )
 
 
-def instantiate_family(template: PlatoonConfig, n: int) -> PlatoonConfig:
-    """Platoon of size ``n`` from a template's repeating gain/asymmetry rule.
-
-    The template's trailing asymmetry is the structurally forced zero, not
-    part of the rule, so it is excluded from the cycle whenever the template
-    has more than one follower.
-    """
-    gain_rule = template.gains
-    asym_rule = template.asymmetries[:-1] if len(template.asymmetries) > 1 else template.asymmetries
-    gains = tuple(itertools.islice(itertools.cycle(gain_rule), n - 1))
-    asym = tuple(itertools.islice(itertools.cycle(asym_rule), n - 1))
-    return PlatoonConfig(
-        n=n,
-        gains=gains,
-        asymmetries=asym,
-        vehicle=template.vehicle,
-        controller=template.controller,
-        ref_distance=template.ref_distance,
-    )
-
-
 def gamma_sequence(template: PlatoonConfig, n_list,
                    omega_band: tuple[float, float] = DEFAULT_OMEGA_BAND) -> list[GammaPoint]:
     """Peak platoon gain for each size in ``n_list``.
 
-    For every n the template is instantiated, gamma_n is the peak of the
-    product-form response over the band, and the per-block growth factor is
-    attached as :func:`zeta_min` gives it (None when undefined).
+    gamma_n is :func:`hinf_norm` of the product-form response of the
+    template's member of size n, with every size's scan from one continuant
+    pass (:func:`platoon._family_log_gains`) and only the refinement calling
+    :func:`product_response`; a scan left NaN (a zero pivot) is taken from
+    the product.  The per-block growth factor is :func:`zeta_min`'s.
     """
-    points = []
-    for n in n_list:
-        cfg = instantiate_family(template, int(n))
-        gamma, _ = hinf_norm(lambda w: product_response(cfg, w), *omega_band)
+    grid, sizes, points = _scan_grid(*omega_band), [int(n) for n in n_list], []
+    for n in sizes:
+        cfg = instantiate_family(template, n)
+        M = _prepared(cfg).M  # each size's config faults come first
+        if not points:  # one pass serves every size
+            log_t = _family_log_gains(template, sizes, poly_eval(M.den, 1j * grid), poly_eval(M.num, 1j * grid))
+        response = lambda w: product_response(cfg, w)
+        with np.errstate(over="ignore"):  # an overflow is reported by _refine
+            mags = np.exp(log_t[n])
+        if np.isnan(mags).any():
+            mags = np.abs(response(grid))
+        gamma, _ = _refine(response, grid, mags)
         points.append(GammaPoint(
-            n=int(n),
+            n=n,
             gamma=gamma,
             gamma_root_n=gamma ** (1.0 / n),
             zeta_min_lower=zeta_min(cfg, omega_band),

@@ -10,11 +10,15 @@ and equal to the nonzero spectrum of the full matrix.  The reduced Laplacian
 is carried as its (sub, diag, sup) bands, so memory stays linear in ``n``.
 The platoon's coupled state-space matrix is assembled from the same bands in
 LAPACK band storage, and :func:`banded_matrix` is the one dense expansion of
-band storage.
+band storage.  A template's repeating gain/asymmetry rule instantiates a
+family of platoons, one per size, whose reduced Laplacians share their
+leading blocks; one continuant pass over the largest member's bands gives
+the platoon gain of every member on a frequency grid.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -287,3 +291,73 @@ def dominance_certificate(cfg: PlatoonConfig) -> DominanceCertificate:
         row_margins=tuple(float(x) for x in margins),
         lower_bound=float(margins.min()),
     )
+
+
+def instantiate_family(template: PlatoonConfig, n: int) -> PlatoonConfig:
+    """Platoon of size ``n`` from a template's repeating gain/asymmetry rule.
+
+    The template's trailing asymmetry is the structurally forced zero, not
+    part of the rule, so it is excluded from the cycle whenever the template
+    has more than one follower.
+    """
+    gain_rule = template.gains
+    asym_rule = template.asymmetries[:-1] if len(template.asymmetries) > 1 else template.asymmetries
+    gains = tuple(itertools.islice(itertools.cycle(gain_rule), n - 1))
+    asym = tuple(itertools.islice(itertools.cycle(asym_rule), n - 1))
+    return PlatoonConfig(
+        n=n,
+        gains=gains,
+        asymmetries=asym,
+        vehicle=template.vehicle,
+        controller=template.controller,
+        ref_distance=template.ref_distance,
+    )
+
+
+def _family_log_gains(template: PlatoonConfig, sizes, den: np.ndarray, num: np.ndarray) -> dict[int, np.ndarray]:
+    """log|T_n| at each scan frequency for every size n in ``sizes``, from one continuant pass.
+
+    ``den`` and ``num`` hold the open loop's denominator and numerator at the
+    scan frequencies, so that z = den/num = 1/M there.  T_n = det R_n /
+    (mu_2 * det(R_n + zI)) is the block product
+    (1/mu_2) * prod_i lam_i / (lam_i + z) of the family member of size n
+    (:func:`instantiate_family`).  Its R_n is the leading block of the
+    largest member's R_N except for the last diagonal entry, which is that
+    size's own gain mu_n (the trailing vehicle has no follower).  So the
+    pivots r_k = (d_k + z) - (sub*sup)_{k-1} / r_{k-1} of R_N + zI run once,
+    summing one real log|r_k| per step, and each n closes its determinant
+    with mu_n in place of the diagonal entry d_{n-2} (counted from 0).  A
+    column at z = 0 gives log det R_n.  The pass takes O(N * F) time and
+    O(F) memory for F frequencies, plus one row per size.
+
+    As in the block product, T is 0 (the row -inf) where z is infinite: num
+    is 0 or den is infinite, and den is not 0.  The row is NaN where the
+    pass breaks down, from that step on: at a pivot that is exactly zero (the
+    last one is a closed-loop pole on the imaginary axis) or not finite, and
+    where z is NaN, as at den = num = 0.  The pass emits no floating-point
+    warning.
+    """
+    wanted = set(sizes)  # a size below 2 closes no determinant and gets no row
+    n_max = max(wanted)
+    cfg = instantiate_family(template, n_max)
+    sub, diag, sup = laplacian_bands(cfg)
+    mu = np.asarray(cfg.gains)
+    t_zero = ((num == 0) | np.isinf(den)) & (den != 0)
+
+    def log_abs(pivot):
+        pivot[(pivot == 0) | ~np.isfinite(pivot)] = np.nan
+        return np.log(np.abs(pivot))
+
+    rows, acc, r = {}, np.zeros(den.size + 1), None
+    with np.errstate(all="ignore"):  # 0/0 in z and overflowing band products turn NaN
+        zs = np.concatenate([[0.0], np.where(t_zero, 0.0, den / num)])
+        bc = sub * sup
+        for k in range(n_max - 1):  # pivot k; the member of size k + 2 has k + 1 rows
+            t = bc[k - 1] / r if k else 0.0
+            if k + 2 in wanted:
+                log_det = acc + log_abs((zs + mu[k]) - t)
+                rows[k + 2] = np.where(t_zero, -np.inf, log_det[0] - log_det[1:] - math.log(mu[0]))
+            if k < n_max - 2:
+                r = (zs + diag[k]) - t
+                acc += log_abs(r)
+    return rows

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from platoon_lab import PlatoonConfig, RationalTF
+from platoon_lab import PlatoonConfig, RationalTF, poly_roots
+from platoon_lab.analysis import _STABLE_RE
 
 # Benchmark models used throughout: a double-integrator vehicle with a
 # lead-lag controller that keeps every closed-loop block stable for any
@@ -24,6 +25,14 @@ def make_cfg(n, eps=0.5, mu=1.0, vehicle=VEHICLE, controller=CONTROLLER, ref_dis
 @pytest.fixture
 def benchmark_cfg():
     return make_cfg(20, eps=0.5)
+
+
+def block_stable(tf):
+    """Reference stability rule: True iff every pole of ``tf`` has real part below -1e-9.
+
+    A constant denominator has no poles, so such a block is stable.
+    """
+    return tf.den.degree == 0 or all(r.real < _STABLE_RE for r in poly_roots(tf.den))
 
 
 def dense_reduced_eigs(cfg):

@@ -15,7 +15,6 @@ from platoon_lab import (
     RationalTF,
     SimScenario,
     StepSignal,
-    block_stable,
     closedform_eigenvalues,
     direct_response,
     gamma_sequence,
@@ -31,7 +30,7 @@ from platoon_lab import (
 )
 from platoon_lab.analysis import TEST_INCONCLUSIVE
 
-from conftest import CONTROLLER, VEHICLE, make_cfg
+from conftest import CONTROLLER, VEHICLE, block_stable, make_cfg
 
 
 def report(num: int, desc: str, ok: bool, detail: str = "") -> bool:

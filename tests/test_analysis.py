@@ -10,7 +10,6 @@ from platoon_lab import (
     ConfigError,
     PlatoonConfig,
     RationalTF,
-    block_stable,
     build_state_space,
     direct_response,
     frequency_series,
@@ -21,12 +20,14 @@ from platoon_lab import (
     kappa_modulus_sq,
     make_block,
     open_loop,
+    poly_eval,
     product_response,
     rtf_eval,
     spectrum_report,
     verify_eigen_identities,
     zeta_min,
 )
+from platoon_lab import analysis
 from platoon_lab.analysis import (
     HARMONICALLY_UNSTABLE,
     TEST_INCONCLUSIVE,
@@ -35,8 +36,9 @@ from platoon_lab.analysis import (
     _prepared,
     write_freq_csv,
 )
+from platoon_lab.platoon import _family_log_gains
 
-from conftest import BAD_CONTROLLER, CONTROLLER, VEHICLE, make_cfg
+from conftest import BAD_CONTROLLER, CONTROLLER, VEHICLE, block_stable, make_cfg
 
 
 def dense_response(cfg, omega):
@@ -419,6 +421,87 @@ class TestGammaSequence:
         cfg = instantiate_family(make_cfg(5, eps=0.5, mu=1.5), 9)
         assert cfg.gains == (1.5,) * 8
         assert cfg.asymmetries == (0.5,) * 7 + (0.0,)
+
+    @pytest.mark.parametrize("eps", [0.5, 1.0])
+    def test_sweep_equals_per_size_product_peaks(self, eps):
+        # the continuant pass only seeds the refinement, which runs on the product
+        template, sizes = make_cfg(20, eps=eps), range(5, 201, 5)
+        got = [(p.n, p.gamma, p.zeta_min_lower) for p in gamma_sequence(template, sizes)]
+        want = []
+        for n in sizes:
+            cfg = instantiate_family(template, n)
+            want.append((n, hinf_norm(lambda w: product_response(cfg, w))[0], zeta_min(cfg)))
+        assert got == want
+
+    def test_unsorted_sizes_with_repeats_keep_their_order(self):
+        template = PlatoonConfig(n=4, gains=(1.0, 2.0, 0.5), asymmetries=(0.3, 1.2, 0.0),
+                                 vehicle=VEHICLE, controller=CONTROLLER)
+        sizes = [9, 2, 9, 4, 3]
+        got = gamma_sequence(template, sizes)
+        assert [p.n for p in got] == sizes
+        assert got[0] == got[2]
+        assert [p.gamma for p in got] == [p.gamma for n in sizes for p in gamma_sequence(template, [n])]
+
+    def test_sweep_calls_the_product_at_one_frequency_at_a_time(self, monkeypatch):
+        freqs_per_call = []
+        real = analysis.product_response
+
+        def spy(cfg, omega):
+            freqs_per_call.append(np.size(omega))
+            return real(cfg, omega)
+
+        monkeypatch.setattr(analysis, "product_response", spy)
+        gamma_sequence(make_cfg(20, eps=0.5), [5, 40, 10])
+        assert freqs_per_call and max(freqs_per_call) == 1
+
+    def test_sweep_at_n2000_holds_no_grid(self):
+        _prepared.cache_clear()
+        tracemalloc.start()
+        try:
+            gamma_sequence(make_cfg(20, eps=0.5), [2000])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6  # the 1999-by-2000 complex grid of the product alone is 64 MB
+
+    def test_overflow_names_the_first_frequency(self):
+        # log|T| is finite at n = 4000, but T itself exceeds double range
+        with pytest.raises(ValueError, match=r"non-finite response at omega=5\.6088"):
+            gamma_sequence(make_cfg(20, eps=0.5), [4000])
+
+    def test_zero_pivot_is_a_pole_on_the_axis(self):
+        # M = 1/s^2: every block lam/(lam + s^2) has a pole at omega = 1 = grid[0]
+        # (at n = 2 the zero pivot closes the determinant, at n = 5 it is the first of four)
+        template = make_cfg(5, eps=0.0, controller=RationalTF((1.0,), (1.0,)))
+        s = 1j * np.logspace(0.0, 1.0, 2000)
+        rows = _family_log_gains(template, [2, 5], s ** 2, np.ones_like(s))
+        assert np.isnan(rows[2][0]) and np.isnan(rows[5][0])
+        for n in (2, 5):
+            with pytest.raises(ConfigError, match=r"response undefined at omega=1\.0: closed-loop pole"):
+                gamma_sequence(template, [n], (1.0, 10.0))
+
+    def test_infinite_z_gives_zero(self):
+        # num(M) = 1 + s^2 vanishes at omega = 1 = grid[0]: T = 0 there
+        template = make_cfg(5, vehicle=RationalTF((1.0, 0.0, 1.0), (0.0, 0.0, 1.0, 1.0)),
+                            controller=RationalTF((1.0,), (1.0,)))
+        grid = np.logspace(0.0, 1.0, 2000)
+        M = open_loop(template)
+        a, b = poly_eval(M.den, 1j * grid), poly_eval(M.num, 1j * grid)
+        assert b[0] == 0
+        rows = _family_log_gains(template, [3, 8], a, b)
+        assert rows[3][0] == rows[8][0] == -np.inf
+        assert np.all(np.isfinite(rows[8][1:]))
+        for p in gamma_sequence(template, [3, 8], (1.0, 10.0)):
+            cfg = instantiate_family(template, p.n)
+            assert p.gamma == pytest.approx(hinf_norm(lambda w: product_response(cfg, w), 1.0, 10.0)[0],
+                                            rel=1e-12)
+
+    def test_symmetric_root_gain_peaks_at_n51(self):
+        # the README's note on criterion 5: gamma_N^(1/N) rises after N = 10 and peaks at N = 51
+        pts = gamma_sequence(make_cfg(20, eps=1.0), range(30, 101))
+        best = max(pts, key=lambda p: p.gamma_root_n)
+        assert best.n == 51
+        assert best.gamma_root_n == pytest.approx(1.0162628, abs=1e-7)
 
 
 class TestEigenIdentities:

@@ -14,15 +14,17 @@ from platoon_lab import (  # noqa: E402
     ConfigError,
     PlatoonConfig,
     RationalTF,
-    block_stable,
+    instantiate_family,
     open_loop,
+    poly_eval,
     poly_roots,
     product_response,
     spectrum_report,
 )
 from platoon_lab.analysis import _prepared  # noqa: E402
+from platoon_lab.platoon import _family_log_gains  # noqa: E402
 
-from conftest import CONTROLLER, VEHICLE  # noqa: E402
+from conftest import CONTROLLER, VEHICLE, block_stable  # noqa: E402
 
 UNIT = RationalTF((1.0,), (1.0,))
 
@@ -131,3 +133,38 @@ def test_product_response_matches_mpmath_product(cfg, log_omegas):
             m = mpmath.polyval(M.num.coeffs[::-1], s) / mpmath.polyval(M.den.coeffs[::-1], s)
             expect = mpmath.fprod(lam * m / (1 + lam * m) for lam in lams) / cfg.gains[0]
             assert abs(val - complex(expect)) <= 1e-12 * abs(complex(expect))
+
+
+@st.composite
+def cyclic_templates(draw):
+    """A benchmark-loop template with a rule of 1..4 followers, and sizes up to 60.
+
+    Gains lie in [0.1, 10] and asymmetries in [0, 1.5]; the sizes come
+    unsorted, and the first one is repeated at the end.
+    """
+    k = draw(st.integers(1, 4))
+    gains = draw(st.lists(st.floats(0.1, 10.0), min_size=k, max_size=k))
+    asym = draw(st.lists(st.floats(0.0, 1.5), min_size=k, max_size=k))
+    template = PlatoonConfig(n=k + 1, gains=gains, asymmetries=asym, vehicle=VEHICLE, controller=CONTROLLER)
+    sizes = draw(st.lists(st.integers(2, 60), min_size=1, max_size=5))
+    return template, sizes + sizes[:1]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(cyclic_templates())
+def test_continuant_pass_matches_product_of_every_size(case):
+    template, sizes = case
+    grid = np.logspace(-3.0, 3.0, 2000)
+    M = open_loop(template)
+    rows = _family_log_gains(template, sizes, poly_eval(M.den, 1j * grid), poly_eval(M.num, 1j * grid))
+    assert set(rows) == set(sizes)
+    for n in set(sizes):
+        cfg = instantiate_family(template, n)
+        mags = np.abs(product_response(cfg, grid))
+        normal = mags > 1e-290  # below, the product's exponential is subnormal and loses digits
+        # With asymmetries above 1 the Fiedler value can be exponentially small, and the
+        # product inherits the relative error of each eigenvalue, whose absolute error
+        # is a few ulps of ||R|| <= gershgorin_upper: sum_i u*||R||/lam_i bounds that.
+        rep = spectrum_report(cfg)
+        conditioning = 64 * np.finfo(float).eps * rep.gershgorin_upper * np.sum(1 / np.asarray(rep.eigenvalues))
+        assert np.all(np.abs(rows[n][normal] - np.log(mags[normal])) <= 1e-10 + conditioning)

@@ -14,7 +14,6 @@ from platoon_lab import (
     SineSignal,
     StepSignal,
     TimeSeries,
-    block_stable,
     build_laplacian,
     build_state_space,
     dt_limit,
@@ -27,7 +26,7 @@ from platoon_lab import (
 )
 from platoon_lab.analysis import _prepared, controllable_canonical
 
-from conftest import BAD_CONTROLLER, CONTROLLER, VEHICLE, make_cfg
+from conftest import BAD_CONTROLLER, CONTROLLER, VEHICLE, block_stable, make_cfg
 
 
 def realization_response(cfg, omega):
