@@ -55,6 +55,7 @@ UNSTABLE_BLOCKS = "unstable-blocks"
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _N_SCAN = 2000  # coarse log-grid size of the peak search
+_BLOCK_BYTES = 1 << 20  # grid bytes per frequency_series block, of >= 2 columns: one sums pairwise
 
 # A closed-loop pole is stable when its real part is below this.
 _STABLE_RE = -1e-9
@@ -340,7 +341,7 @@ def _mag_at(response, omega: float) -> float:
     val = complex(np.asarray(response(omega)).reshape(()))
     mag = abs(val)
     if not math.isfinite(mag):
-        raise ValueError(f"non-finite response at omega={omega}")
+        raise ConfigError(f"non-finite response at omega={omega}")
     return mag
 
 
@@ -384,7 +385,7 @@ def _refine(response, grid: np.ndarray, mags: np.ndarray):
     """:func:`hinf_norm` from its scan magnitudes ``mags``; ``response`` gets one frequency a call."""
     if not np.all(np.isfinite(mags)):
         bad = grid[np.nonzero(~np.isfinite(mags))[0][0]]
-        raise ValueError(f"non-finite response at omega={bad}")
+        raise ConfigError(f"non-finite response at omega={bad}")
     top = float(mags.max())
     i = int(np.nonzero(mags >= top * (1.0 - 1e-9))[0][0])
     best_mag, best_w = float(mags[i]), float(grid[i])
@@ -572,7 +573,8 @@ def frequency_series(cfg: PlatoonConfig, n_points: int = 400,
                      omega_band: tuple[float, float] = DEFAULT_OMEGA_BAND) -> FreqSeries:
     """Leader-to-last-vehicle frequency response mu_2*T on a log grid."""
     grid = np.logspace(math.log10(omega_band[0]), math.log10(omega_band[1]), n_points)
-    values = cfg.gains[0] * product_response(cfg, grid)
+    k = max(1, min(n_points // 2, -(-16 * (cfg.n - 1) * n_points // _BLOCK_BYTES)))
+    values = cfg.gains[0] * np.concatenate([product_response(cfg, w) for w in np.array_split(grid, k)])
     return FreqSeries(omegas=grid, values=values)
 
 

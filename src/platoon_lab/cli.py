@@ -143,14 +143,14 @@ def _write_json(doc: dict, out_path) -> None:
 
 def cmd_spectrum(config_path: str, out_path=None) -> int:
     cfg, _, _ = load_config(config_path)
-    doc = dataclasses.asdict(platoon.spectrum_report(cfg))
+    doc = dict(vars(platoon.spectrum_report(cfg)))  # a shallow copy: the report is cached
     lower = doc.pop("fiedler_lower")
     if lower is None:
         logger.info("max asymmetry >= 1: no uniform lower bound on this route; "
                     "theorem1_lower and the dominance certificate are omitted")
     else:
         doc["theorem1_lower"] = lower
-        doc["dominance_certificate"] = dataclasses.asdict(platoon.dominance_certificate(cfg))
+        doc["dominance_certificate"] = vars(platoon.dominance_certificate(cfg))
     _write_json(doc, out_path)
     return EXIT_OK
 

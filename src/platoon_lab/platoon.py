@@ -22,6 +22,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -202,7 +203,7 @@ def spectrum(sub, diag, sup) -> SpectrumReport:
                           "finite, and > 0 where sup != 0")
     eigs = np.sort(eigh_tridiagonal(diag, np.sqrt(prod), eigvals_only=True))
     return SpectrumReport(
-        eigenvalues=tuple(float(x) for x in eigs),
+        eigenvalues=tuple(eigs.tolist()),
         fiedler=float(eigs[0]),
         gershgorin_upper=float(2.0 * diag.max()),
     )
@@ -229,8 +230,14 @@ def fiedler_lower_bound(cfg: PlatoonConfig) -> float | None:
     return min(1.0, mu_min) * ((1.0 - eps_max) ** 2 / (2.0 + 2.0 * eps_max))
 
 
+@lru_cache(maxsize=128)
 def spectrum_report(cfg: PlatoonConfig) -> SpectrumReport:
-    """Spectrum of the reduced Laplacian with the asymmetry bound attached."""
+    """Spectrum of the reduced Laplacian with the asymmetry bound attached.
+
+    Cached per config, so every command on one config in one process pays
+    one eigensolve; the min-gain warning of :func:`fiedler_lower_bound` is
+    logged on a cache miss only.
+    """
     return replace(spectrum(*laplacian_bands(cfg)), fiedler_lower=fiedler_lower_bound(cfg))
 
 
@@ -334,8 +341,10 @@ def _family_log_gains(template: PlatoonConfig, sizes, den: np.ndarray, num: np.n
     is 0 or den is infinite, and den is not 0.  The row is NaN where the
     pass breaks down, from that step on: at a pivot that is exactly zero (the
     last one is a closed-loop pole on the imaginary axis) or not finite, and
-    where z is NaN, as at den = num = 0.  The pass emits no floating-point
-    warning.
+    where z is NaN, as at den = num = 0.  Such a pivot's log|r| is -inf, inf
+    or NaN, which leaves the running sum non-finite for good, so the sums
+    are taken unmasked and a size's sum is set to NaN only where it is not
+    finite when that size closes.  The pass emits no floating-point warning.
     """
     wanted = set(sizes)  # a size below 2 closes no determinant and gets no row
     n_max = max(wanted)
@@ -343,11 +352,6 @@ def _family_log_gains(template: PlatoonConfig, sizes, den: np.ndarray, num: np.n
     sub, diag, sup = laplacian_bands(cfg)
     mu = np.asarray(cfg.gains)
     t_zero = ((num == 0) | np.isinf(den)) & (den != 0)
-
-    def log_abs(pivot):
-        pivot[(pivot == 0) | ~np.isfinite(pivot)] = np.nan
-        return np.log(np.abs(pivot))
-
     rows, acc, r = {}, np.zeros(den.size + 1), None
     with np.errstate(all="ignore"):  # 0/0 in z and overflowing band products turn NaN
         zs = np.concatenate([[0.0], np.where(t_zero, 0.0, den / num)])
@@ -355,9 +359,10 @@ def _family_log_gains(template: PlatoonConfig, sizes, den: np.ndarray, num: np.n
         for k in range(n_max - 1):  # pivot k; the member of size k + 2 has k + 1 rows
             t = bc[k - 1] / r if k else 0.0
             if k + 2 in wanted:
-                log_det = acc + log_abs((zs + mu[k]) - t)
+                log_det = acc + np.log(np.abs((zs + mu[k]) - t))
+                log_det[~np.isfinite(log_det)] = np.nan
                 rows[k + 2] = np.where(t_zero, -np.inf, log_det[0] - log_det[1:] - math.log(mu[0]))
             if k < n_max - 2:
                 r = (zs + diag[k]) - t
-                acc += log_abs(r)
+                acc += np.log(np.abs(r))
     return rows

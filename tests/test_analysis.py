@@ -504,6 +504,60 @@ class TestGammaSequence:
         assert best.gamma_root_n == pytest.approx(1.0162628, abs=1e-7)
 
 
+def hinf_hamiltonian(A, b, c, tol=1e-14):
+    """H-infinity norm of c (sI - A)^-1 b, A stable, by the Bruinsma-Steinbuch iteration.
+
+    Independent of the band scan: for gamma above every |G(j*omega)| the
+    Hamiltonian [[A, b b^T/gamma], [-c^T c/gamma, -A^T]] has no imaginary
+    eigenvalue, and otherwise its imaginary eigenvalues j*omega_i are the
+    frequencies where |G| = gamma.  Each step raises the lower bound to the
+    largest |G| at the midpoints of consecutive omega_i (Bruinsma & Steinbuch,
+    1990), over all frequencies, not only a band.  Dense, so for d <= 200.
+    The eigenvalues near a peak carry errors far above rounding, so an
+    eigenvalue counts as imaginary up to |Re| <= 1e-6 |lambda|, and the
+    iteration stops when no midpoint raises the bound by more than ``tol``.
+    """
+    d = A.shape[0]
+    assert d <= 200
+    eye = np.eye(d)
+
+    def gain(w):
+        return abs(c @ np.linalg.solve(1j * w * eye - A, b))
+
+    poles = np.linalg.eigvals(A)
+    cx = poles[poles.imag != 0]
+    # initial frequency: the most lightly damped pole's modulus (Bruinsma & Steinbuch)
+    p = cx[np.argmax(np.abs(cx.imag / cx.real) / np.abs(cx))] if cx.size else poles[np.argmin(np.abs(poles))]
+    lower = max(gain(0.0), gain(abs(p)))
+    for _ in range(30):
+        g = (1 + 2 * tol) * lower
+        ev = np.linalg.eigvals(np.block([[A, np.outer(b, b) / g], [-np.outer(c, c) / g, -A.T]]))
+        w = np.sort(ev.imag[(np.abs(ev.real) <= 1e-6 * np.abs(ev)) & (ev.imag > 0)])
+        mids = (w[:-1] + w[1:]) / 2 if w.size > 1 else w
+        best = max((gain(m) for m in mids), default=0.0)
+        if best <= lower * (1 + tol):
+            return lower
+        lower = best
+    raise AssertionError("the Hamiltonian iteration did not converge")
+
+
+class TestHamiltonianOracle:
+    def test_pins_the_symmetric_sweep_of_criterion_5(self):
+        sizes = list(range(5, 51, 5))
+        template = make_cfg(5, eps=1.0)
+        got = [p.gamma for p in gamma_sequence(template, sizes)]
+        expect = []
+        for n in sizes:
+            cfg = instantiate_family(template, n)
+            A, B, C = build_state_space(cfg)
+            expect.append(hinf_hamiltonian(A, B / cfg.gains[0], C[-1]))
+        assert np.allclose(got, expect, rtol=1e-12, atol=0)
+        # the norm over all frequencies confirms the sweep's shape: gamma_N^(1/N)
+        # dips at N = 10 and rises after it, so it is not non-increasing
+        roots = np.array(expect) ** (1.0 / np.array(sizes))
+        assert roots[1] < roots[0] and np.all(np.diff(roots[1:]) > 0)
+
+
 class TestEigenIdentities:
     def test_three_vehicle_residuals_tiny(self):
         power_res, inverse_res = verify_eigen_identities(make_cfg(3, eps=0.5))
@@ -557,3 +611,14 @@ class TestFrequencySeries:
         series = frequency_series(cfg, n_points=20)
         for w, v in zip(series.omegas[::5], series.values[::5]):
             assert v == pytest.approx(cfg.gains[0] * direct_response(cfg, w), rel=1e-6)
+
+    def test_memory_is_bounded_by_the_block(self):
+        cfg = make_cfg(2000)
+        _prepared(cfg)  # the spectrum and poles are cached outside the trace
+        tracemalloc.start()
+        try:
+            frequency_series(cfg, n_points=400)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6  # the whole 1999-by-400 complex grid is 12.8 MB

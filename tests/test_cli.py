@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from platoon_lab import cli, platoon
-from platoon_lab.analysis import direct_response
+from platoon_lab.analysis import _prepared, direct_response
 
 from conftest import make_cfg
 
@@ -357,6 +357,37 @@ class TestEdgeLoops:
         assert np.all(np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1, usecols=1)))
 
 
+class TestNonFiniteResponse:
+    """A response that leaves double range is a config error (exit 2), not a traceback."""
+
+    WIDE = {"n": 20, "omega_band": [1e-3, 1e200]}  # Horner evaluation of M overflows
+
+    def test_wide_band_gamma_exits_2(self, tmp_path, capsys):
+        path, out = write_doc(tmp_path, base_doc(**self.WIDE)), tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):  # the Horner overflow itself warns
+            assert cli.main(["gamma", "--config", path, "--n-min", "20", "--n-max", "20", "--out", str(out)]) == 2
+        assert "config error: non-finite response at omega=9.94257" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_wide_band_harmonic_fails_at_the_fiedler_block(self, tmp_path, capsys, caplog):
+        # the Fiedler block is searched before the bound's block, whose
+        # ConfigError the test would take as "cannot run at the uniform bound"
+        path, out = write_doc(tmp_path, base_doc(**self.WIDE)), tmp_path / "out"
+        with caplog.at_level(logging.WARNING), np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(["harmonic", "--config", path, "--out", str(out)]) == 2
+        assert "config error: non-finite response at omega=4.1002" in capsys.readouterr().err
+        assert not any("uniform bound" in r.message for r in caplog.records)
+        assert not out.exists()
+
+    def test_overflowing_product_gamma_exits_2(self, tmp_path, capsys):
+        # log|T| is finite at n = 4000, but T itself exceeds double range
+        path, out = write_doc(tmp_path, base_doc(n=4000)), tmp_path / "out"
+        assert cli.main(["gamma", "--config", path, "--n-min", "4000", "--n-max", "4000",
+                         "--out", str(out)]) == 2
+        assert "config error: non-finite response at omega=5.6088" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCmdIdentities:
     def test_small_platoon_passes(self, tmp_path, capsys):
         path = write_doc(tmp_path, base_doc(n=8, asymmetries=0.4))
@@ -384,3 +415,42 @@ class TestDeterminism:
         cli.cmd_freqresp(path, str(a), n_points=60)
         cli.cmd_freqresp(path, str(b), n_points=60)
         assert a.read_bytes() == b.read_bytes()
+
+
+FOUR_COMMANDS = (
+    ("spectrum", []),
+    ("harmonic", []),
+    ("freqresp", ["--points", "60"]),
+    ("gamma", ["--n-min", "12", "--n-max", "12"]),
+)
+
+
+def clear_caches():
+    _prepared.cache_clear()
+    platoon.spectrum_report.cache_clear()
+
+
+class TestOneSpectrumPerConfig:
+    def test_cold_and_warm_runs_are_byte_identical(self, tmp_path):
+        path = write_doc(tmp_path, base_doc(n=12, asymmetries=0.37))
+        for command, flags in FOUR_COMMANDS:
+            clear_caches()
+            cold, warm = tmp_path / f"{command}-cold", tmp_path / f"{command}-warm"
+            assert cli.main([command, "--config", path, "--out", str(cold), *flags]) == 0
+            assert cli.main([command, "--config", path, "--out", str(warm), *flags]) == 0
+            assert cold.read_bytes() == warm.read_bytes(), command
+
+    def test_four_commands_solve_the_spectrum_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = platoon.eigh_tridiagonal
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(platoon, "eigh_tridiagonal", counting)
+        path = write_doc(tmp_path, base_doc(n=12, asymmetries=0.37))
+        clear_caches()
+        for command, flags in FOUR_COMMANDS:
+            assert cli.main([command, "--config", path, "--out", str(tmp_path / command), *flags]) == 0
+        assert len(calls) == 1

@@ -8,12 +8,13 @@ import numpy.polynomial.polynomial as P
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from platoon_lab import (  # noqa: E402
     ConfigError,
     PlatoonConfig,
     RationalTF,
+    frequency_series,
     instantiate_family,
     open_loop,
     poly_eval,
@@ -21,6 +22,7 @@ from platoon_lab import (  # noqa: E402
     product_response,
     spectrum_report,
 )
+from platoon_lab import analysis  # noqa: E402
 from platoon_lab.analysis import _prepared  # noqa: E402
 from platoon_lab.platoon import _family_log_gains  # noqa: E402
 
@@ -133,6 +135,21 @@ def test_product_response_matches_mpmath_product(cfg, log_omegas):
             m = mpmath.polyval(M.num.coeffs[::-1], s) / mpmath.polyval(M.den.coeffs[::-1], s)
             expect = mpmath.fprod(lam * m / (1 + lam * m) for lam in lams) / cfg.gains[0]
             assert abs(val - complex(expect)) <= 1e-12 * abs(complex(expect))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(golden_loop_platoons(), st.sampled_from([2, 3, 401]), st.integers(1, 1 << 20))
+# a block target of 1 byte gives the most blocks: 200 at 401 points, the last of 2 columns
+@example(PlatoonConfig(n=30, gains=[1.0] * 29, asymmetries=[0.5] * 29, vehicle=VEHICLE, controller=CONTROLLER),
+         401, 1)
+def test_frequency_blocks_match_one_product_bit_for_bit(cfg, n_points, block_bytes):
+    grid = np.logspace(-3.0, 3.0, n_points)
+    expect = cfg.gains[0] * product_response(cfg, grid)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_BLOCK_BYTES", block_bytes)
+        got = frequency_series(cfg, n_points=n_points)
+    assert got.omegas.tobytes() == grid.tobytes()
+    assert got.values.tobytes() == expect.tobytes()
 
 
 @st.composite
