@@ -27,6 +27,7 @@ from scipy.linalg import solve_banded
 from .numerics import (
     Polynomial,
     RationalTF,
+    _column_blocks,
     _row_degrees,
     companion_roots,
     poly_eval,
@@ -55,7 +56,6 @@ UNSTABLE_BLOCKS = "unstable-blocks"
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _N_SCAN = 2000  # coarse log-grid size of the peak search
-_BLOCK_BYTES = 1 << 20  # grid bytes per frequency_series block, of >= 2 columns: one sums pairwise
 
 # A closed-loop pole is stable when its real part is below this.
 _STABLE_RE = -1e-9
@@ -345,10 +345,10 @@ def _mag_at(response, omega: float) -> float:
     return mag
 
 
-def _scan_grid(omega_lo: float, omega_hi: float) -> np.ndarray:
+def _scan_grid(omega_lo: float, omega_hi: float, n: int = _N_SCAN) -> np.ndarray:
     if not 0 < omega_lo < omega_hi:
         raise ValueError("need 0 < omega_lo < omega_hi")
-    return np.logspace(math.log10(omega_lo), math.log10(omega_hi), _N_SCAN)
+    return np.logspace(math.log10(omega_lo), math.log10(omega_hi), n)
 
 
 def hinf_norm(response, omega_lo: float = DEFAULT_OMEGA_BAND[0],
@@ -571,10 +571,9 @@ def verify_eigen_identities(cfg: PlatoonConfig) -> tuple[np.ndarray, float]:
 
 def frequency_series(cfg: PlatoonConfig, n_points: int = 400,
                      omega_band: tuple[float, float] = DEFAULT_OMEGA_BAND) -> FreqSeries:
-    """Leader-to-last-vehicle frequency response mu_2*T on a log grid."""
-    grid = np.logspace(math.log10(omega_band[0]), math.log10(omega_band[1]), n_points)
-    k = max(1, min(n_points // 2, -(-16 * (cfg.n - 1) * n_points // _BLOCK_BYTES)))
-    values = cfg.gains[0] * np.concatenate([product_response(cfg, w) for w in np.array_split(grid, k)])
+    """Leader-to-last-vehicle frequency response mu_2*T on a log grid, evaluated in blocks of ~1 MB."""
+    grid = _scan_grid(*omega_band, n_points)
+    values = cfg.gains[0] * np.concatenate([product_response(cfg, w) for w in _column_blocks(grid, cfg.n - 1)])
     return FreqSeries(omegas=grid, values=values)
 
 

@@ -32,6 +32,22 @@ def _row_degrees(coeffs) -> np.ndarray:
     return np.where(kept.any(axis=-1), top, 0)
 
 
+# Bytes of the complex rows-by-block array that one block of _column_blocks
+# may hold.
+_BLOCK_BYTES = 1 << 20
+
+
+def _column_blocks(grid: np.ndarray, rows: int) -> list[np.ndarray]:
+    """``grid`` in consecutive blocks whose ``rows``-by-block complex array holds about _BLOCK_BYTES.
+
+    Every block has at least 2 entries (unless ``grid`` has fewer): numpy
+    sums axis 0 of a one-column array pairwise, not row by row, which would
+    change the bytes of the sum.
+    """
+    k = -(-16 * rows * grid.size // _BLOCK_BYTES)
+    return np.array_split(grid, max(1, min(grid.size // 2, k)))
+
+
 def _normalize(coeffs) -> tuple[float, ...]:
     c = [float(x) for x in coeffs]
     if not c:

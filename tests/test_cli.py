@@ -401,6 +401,20 @@ class TestCmdIdentities:
         assert "simple eigenvalues" in capsys.readouterr().out
 
 
+FOUR_COMMANDS = (
+    ("spectrum", []),
+    ("harmonic", []),
+    ("freqresp", ["--points", "60"]),
+    ("gamma", ["--n-min", "12", "--n-max", "12"]),
+)
+
+
+def clear_caches():
+    """Cold start: a second run of a command replays the per-config caches."""
+    _prepared.cache_clear()
+    platoon.spectrum_report.cache_clear()
+
+
 class TestDeterminism:
     def test_spectrum_byte_identical(self, tmp_path):
         path = write_doc(tmp_path, base_doc(n=12, asymmetries=0.37))
@@ -416,21 +430,6 @@ class TestDeterminism:
         cli.cmd_freqresp(path, str(b), n_points=60)
         assert a.read_bytes() == b.read_bytes()
 
-
-FOUR_COMMANDS = (
-    ("spectrum", []),
-    ("harmonic", []),
-    ("freqresp", ["--points", "60"]),
-    ("gamma", ["--n-min", "12", "--n-max", "12"]),
-)
-
-
-def clear_caches():
-    _prepared.cache_clear()
-    platoon.spectrum_report.cache_clear()
-
-
-class TestOneSpectrumPerConfig:
     def test_cold_and_warm_runs_are_byte_identical(self, tmp_path):
         path = write_doc(tmp_path, base_doc(n=12, asymmetries=0.37))
         for command, flags in FOUR_COMMANDS:
@@ -440,6 +439,8 @@ class TestOneSpectrumPerConfig:
             assert cli.main([command, "--config", path, "--out", str(warm), *flags]) == 0
             assert cold.read_bytes() == warm.read_bytes(), command
 
+
+class TestOneSpectrumPerConfig:
     def test_four_commands_solve_the_spectrum_once(self, tmp_path, monkeypatch):
         calls = []
         real = platoon.eigh_tridiagonal

@@ -22,7 +22,7 @@ from platoon_lab import (  # noqa: E402
     product_response,
     spectrum_report,
 )
-from platoon_lab import analysis  # noqa: E402
+from platoon_lab import numerics  # noqa: E402
 from platoon_lab.analysis import _prepared  # noqa: E402
 from platoon_lab.platoon import _family_log_gains  # noqa: E402
 
@@ -146,7 +146,7 @@ def test_frequency_blocks_match_one_product_bit_for_bit(cfg, n_points, block_byt
     grid = np.logspace(-3.0, 3.0, n_points)
     expect = cfg.gains[0] * product_response(cfg, grid)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "_BLOCK_BYTES", block_bytes)
+        mp.setattr(numerics, "_BLOCK_BYTES", block_bytes)
         got = frequency_series(cfg, n_points=n_points)
     assert got.omegas.tobytes() == grid.tobytes()
     assert got.values.tobytes() == expect.tobytes()
