@@ -24,16 +24,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .numerics import (
-    Polynomial,
-    RationalTF,
-    _column_blocks,
-    _row_degrees,
-    companion_roots,
-    poly_eval,
-    poly_mul,
-    rtf_eval,
-)
+from .blockpeak import _block_peak, _ratio_at
+from .numerics import RationalTF, _column_blocks, _row_degrees, companion_roots, poly_eval
 from .platoon import (
     ConfigError,
     PlatoonConfig,
@@ -148,18 +140,6 @@ def _closed_loop_dens(M: RationalTF, lams) -> np.ndarray:
     return dens
 
 
-def make_block(lam: float, M: RationalTF) -> RationalTF:
-    """Closed-loop block ``lam*M / (1 + lam*M)`` for feedback gain ``lam`` > 0.
-
-    The block is lam*num(M) / (den(M) + lam*num(M)), which must be finite
-    and not identically zero; with an integrator in M its DC gain is exactly 1.
-    """
-    if not lam > 0:
-        raise ValueError("feedback gain must be positive")
-    den = tuple(_closed_loop_dens(M, [lam])[0])
-    return RationalTF(num=poly_mul(Polynomial((float(lam),)), M.num), den=den)
-
-
 class _Prepared(NamedTuple):
     rep: SpectrumReport
     M: RationalTF
@@ -207,14 +187,13 @@ def _block_growth(lam: float, rep: SpectrumReport, M: RationalTF, band: tuple[fl
     Returns ``(gamma, omega0, alpha, beta, zeta)``: the block's peak gain over
     ``band`` and its frequency, ``alpha + j*beta = lam*M(j*omega0)``, and the
     minimum block modulus there over gain ratios kappa in
-    [1, lam_max/lam].  ``alpha`` and ``beta`` are None at a pole of M;
-    ``zeta`` is None then and whenever ``gamma`` does not exceed one.
+    [1, lam_max/lam].  ``alpha`` and ``beta`` are None where lam*M is not
+    finite (a pole of M); ``zeta`` is None then and whenever ``gamma`` <= 1.
     """
-    tf = make_block(lam, M)
-    gamma, w0 = hinf_norm(lambda w: rtf_eval(tf, 1j * np.asarray(w, dtype=float)), *band)
-    if poly_eval(M.den, 1j * w0) == 0:
+    gamma, w0 = _block_peak(lam * np.asarray(M.num.coeffs), _closed_loop_dens(M, [lam])[0], *band)
+    ab = lam * complex(_ratio_at(M.num.coeffs, M.den.coeffs, np.array([w0]))[0])
+    if not math.isfinite(abs(ab)):
         return gamma, w0, None, None, None
-    ab = lam * rtf_eval(M, 1j * w0)
     zeta = None
     if gamma > 1.0:
         zeta = _min_block_modulus(ab.real, ab.imag, rep.eigenvalues[-1] / lam)
@@ -353,7 +332,7 @@ def _scan_grid(omega_lo: float, omega_hi: float, n: int = _N_SCAN) -> np.ndarray
 
 def hinf_norm(response, omega_lo: float = DEFAULT_OMEGA_BAND[0],
               omega_hi: float = DEFAULT_OMEGA_BAND[1]):
-    """Peak magnitude of a frequency response over a band, plus its location.
+    """Peak magnitude of a frequency response over a band, plus its location: the platoon's peak search.
 
     Parameters
     ----------
@@ -426,7 +405,7 @@ def kappa_modulus_sq(kappa: float, alpha: float, beta: float) -> float:
     """
     den = (kappa * alpha + 1.0) ** 2 + (kappa * beta) ** 2
     if den <= 0.0:
-        raise ValueError("closed-loop pole at the peak frequency: zero denominator")
+        raise ConfigError("closed-loop pole at the peak frequency: zero denominator")
     return 1.0 - (2.0 * kappa * alpha + 1.0) / den
 
 

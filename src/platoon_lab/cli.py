@@ -51,6 +51,13 @@ def _broadcast(value, n: int, field: str) -> tuple[float, ...]:
         raise ConfigError(f"{field} entries must be numbers") from None
 
 
+def _finite_number(x) -> bool:
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an integer literal beyond the range of a double
+        return False
+
+
 def _tf_from(doc: dict, field: str) -> RationalTF:
     if field not in doc or not isinstance(doc[field], dict):
         raise ConfigError(f"{field} required")
@@ -84,12 +91,11 @@ def parse_config(doc: dict) -> tuple[platoon.PlatoonConfig, tuple[float, float],
     vehicle = _tf_from(doc, "vehicle")
     controller = _tf_from(doc, "controller")
     ref = doc.get("ref_distance", 1.0)
-    if not isinstance(ref, (int, float)) or isinstance(ref, bool) or not math.isfinite(ref):
+    if not _finite_number(ref):
         raise ConfigError("ref_distance must be a finite number")
     band = doc.get("omega_band", list(analysis.DEFAULT_OMEGA_BAND))
     if (not isinstance(band, list) or len(band) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                       and math.isfinite(x) for x in band)
+            or not all(_finite_number(x) for x in band)
             or not 0 < band[0] < band[1]):
         raise ConfigError("omega_band must be [lo, hi] with finite 0 < lo < hi")
     cfg = platoon.PlatoonConfig(n=n, gains=gains, asymmetries=asym, vehicle=vehicle,

@@ -101,12 +101,6 @@ def poly_eval(p: Polynomial, s):
     return acc
 
 
-def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Product of two polynomials (coefficient convolution)."""
-    a, b = _as_poly(a), _as_poly(b)
-    return Polynomial(tuple(np.convolve(a.coeffs, b.coeffs)))
-
-
 def companion_roots(coeffs) -> np.ndarray:
     """Roots of every row of an ``(..., d+1)`` array of ascending coefficients.
 
@@ -131,27 +125,3 @@ def companion_roots(coeffs) -> np.ndarray:
     comp[..., 1:, :-1] = np.eye(d - 1)
     comp[..., :, -1] = -c[..., :-1] / c[..., -1:]
     return np.linalg.eigvals(comp)
-
-
-def poly_roots(p: Polynomial) -> list[complex]:
-    """All complex roots of ``p`` via eigenvalues of the monic companion matrix.
-
-    Roots are returned sorted by (real, imag) for reproducibility.  Each root
-    ``r`` satisfies ``|p(r)| <= 1e-8 * ||coeffs||`` at the degrees this library
-    works with (<= 10).
-
-    Raises
-    ------
-    ValueError
-        If ``p`` is constant or identically zero ("no roots defined").
-    """
-    roots = companion_roots(_as_poly(p).coeffs)
-    return sorted((complex(r) for r in roots), key=lambda z: (z.real, z.imag))
-
-
-def rtf_eval(t: RationalTF, s):
-    """Evaluate ``t`` at ``s`` (scalar or ndarray); raises at an exact pole."""
-    den = poly_eval(t.den, s)
-    if np.any(den == 0):
-        raise ValueError(f"pole at evaluation point s={s}")
-    return poly_eval(t.num, s) / den

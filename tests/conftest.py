@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from platoon_lab import PlatoonConfig, RationalTF, poly_roots
-from platoon_lab.analysis import _STABLE_RE
+from platoon_lab import PlatoonConfig, Polynomial, RationalTF, hinf_norm, poly_eval
+from platoon_lab.analysis import _STABLE_RE, _closed_loop_dens
+from platoon_lab.blockpeak import _block_peak
+from platoon_lab.numerics import _as_poly, companion_roots
 
 # Benchmark models used throughout: a double-integrator vehicle with a
 # lead-lag controller that keeps every closed-loop block stable for any
@@ -25,6 +27,53 @@ def make_cfg(n, eps=0.5, mu=1.0, vehicle=VEHICLE, controller=CONTROLLER, ref_dis
 @pytest.fixture
 def benchmark_cfg():
     return make_cfg(20, eps=0.5)
+
+
+def poly_roots(p: Polynomial) -> list[complex]:
+    """All complex roots of ``p`` via eigenvalues of the monic companion matrix.
+
+    Roots are returned sorted by (real, imag) for reproducibility.  Each root
+    ``r`` satisfies ``|p(r)| <= 1e-8 * ||coeffs||`` at the degrees this library
+    works with (<= 10).
+
+    Raises
+    ------
+    ValueError
+        If ``p`` is constant or identically zero ("no roots defined").
+    """
+    roots = companion_roots(_as_poly(p).coeffs)
+    return sorted((complex(r) for r in roots), key=lambda z: (z.real, z.imag))
+
+
+def rtf_eval(t: RationalTF, s):
+    """Evaluate ``t`` at ``s`` (scalar or ndarray); raises at an exact pole."""
+    den = poly_eval(t.den, s)
+    if np.any(den == 0):
+        raise ValueError(f"pole at evaluation point s={s}")
+    return poly_eval(t.num, s) / den
+
+
+def make_block(lam: float, M: RationalTF) -> RationalTF:
+    """Closed-loop block ``lam*M / (1 + lam*M)`` for feedback gain ``lam`` > 0.
+
+    The block is lam*num(M) / (den(M) + lam*num(M)), which must be finite
+    and not identically zero; with an integrator in M its DC gain is exactly 1.
+    """
+    if not lam > 0:
+        raise ValueError("feedback gain must be positive")
+    den = tuple(_closed_loop_dens(M, [lam])[0])
+    return RationalTF(num=tuple(np.convolve((float(lam),), M.num.coeffs)), den=den)
+
+
+def grid_block_peak(lam, M, lo=1e-3, hi=1e3):
+    """Grid-search reference for a block's peak: :func:`hinf_norm` of ``make_block(lam, M)``."""
+    blk = make_block(lam, M)
+    return hinf_norm(lambda w: rtf_eval(blk, 1j * np.asarray(w, dtype=float)), lo, hi)
+
+
+def closed_form_block_peak(lam, M, lo=1e-3, hi=1e3):
+    """The library's block peak, :func:`blockpeak._block_peak` of the block at ``lam``."""
+    return _block_peak(lam * np.asarray(M.num.coeffs), _closed_loop_dens(M, [lam])[0], lo, hi)
 
 
 def block_stable(tf):

@@ -20,17 +20,15 @@ from platoon_lab import (
     gamma_sequence,
     harmonic_test,
     hinf_norm,
-    make_block,
     open_loop,
     product_response,
-    rtf_eval,
     simulate,
     spectrum_report,
     verify_eigen_identities,
 )
 from platoon_lab.analysis import TEST_INCONCLUSIVE
 
-from conftest import CONTROLLER, VEHICLE, block_stable, make_cfg
+from conftest import CONTROLLER, VEHICLE, block_stable, make_block, make_cfg, rtf_eval
 
 
 def report(num: int, desc: str, ok: bool, detail: str = "") -> bool:

@@ -18,11 +18,9 @@ from platoon_lab import (
     hinf_norm,
     instantiate_family,
     kappa_modulus_sq,
-    make_block,
     open_loop,
     poly_eval,
     product_response,
-    rtf_eval,
     spectrum_report,
     verify_eigen_identities,
     zeta_min,
@@ -32,13 +30,24 @@ from platoon_lab.analysis import (
     HARMONICALLY_UNSTABLE,
     TEST_INCONCLUSIVE,
     UNSTABLE_BLOCKS,
+    _closed_loop_dens,
     _min_block_modulus,
     _prepared,
     write_freq_csv,
 )
 from platoon_lab.platoon import _family_log_gains
 
-from conftest import BAD_CONTROLLER, CONTROLLER, VEHICLE, block_stable, make_cfg
+from conftest import (
+    BAD_CONTROLLER,
+    CONTROLLER,
+    VEHICLE,
+    block_stable,
+    closed_form_block_peak,
+    grid_block_peak,
+    make_block,
+    make_cfg,
+    rtf_eval,
+)
 
 
 def dense_response(cfg, omega):
@@ -292,6 +301,73 @@ class TestHinfNorm:
     def test_band_validation(self):
         with pytest.raises(ValueError):
             hinf_norm(lambda w: np.ones_like(w), omega_lo=1.0, omega_hi=0.1)
+
+
+class TestBlockPeak:
+    """The closed-form block peak of :func:`blockpeak._block_peak`."""
+
+    def test_harmonic_peak_is_the_mpmath_stationary_point(self):
+        mpmath = pytest.importorskip("mpmath")
+        cfg = make_cfg(20, eps=0.5)
+        v = harmonic_test(cfg)
+        lam, M = v.lambda_min_used, open_loop(cfg)
+        assert lam == pytest.approx(1.0 / 12.0, rel=1e-15)
+        num = list(lam * np.asarray(M.num.coeffs))  # the block's float coefficients
+        den = list(_closed_loop_dens(M, [lam])[0])
+        with mpmath.workdps(50):
+            def gain_sq(w):
+                s = mpmath.mpc(0, w)
+                return abs(mpmath.polyval(num[::-1], s) / mpmath.polyval(den[::-1], s)) ** 2
+
+            w_star = mpmath.findroot(lambda w: mpmath.diff(gain_sq, w), v.omega0)
+            gamma = float(mpmath.sqrt(gain_sq(w_star)))
+        assert abs(v.omega0 - float(w_star)) <= 1e-12 * float(w_star)
+        assert abs(v.hinf_gamma_min - gamma) <= 1e-14 * gamma
+
+    @pytest.mark.parametrize("M, lam, omega0", [
+        (RationalTF((1.0,), (1.0,)), 0.5, 1e-3),  # static loop: constant |T| = 1/3
+        (RationalTF((0.0,), (1.0,)), 0.5, 1e-3),  # M = 0: T = 0
+        (RationalTF((1e301,), (1.0, 1.0)), 0.5, 1e-3),  # s is round-off: T = 1
+        (RationalTF((1.0, -1.0), (1.0, 1.0)), 1.0, 1e3),  # all-pass loop, denominator 2 + 0*s
+        (RationalTF((1.0, -1.0), (1.0, 1.0)), 0.5, 1e3),  # all-pass loop, rising to 1/3
+        (RationalTF((1.0, 0.0, -1.0), (1.0, 2.0, 1.0)), 1.0, 1e3),  # degree drops to 2 + 2s
+        (RationalTF((1.0,), (1.0, 1.0)), 0.5, 0.0),  # lam/(s + 1 + lam) wins at DC
+        (RationalTF((1.0,), (0.0, 1.0)), 0.5, 0.0),  # lam/(s + lam): unit DC gain
+    ])
+    def test_edge_blocks_give_the_grid_results(self, M, lam, omega0):
+        gamma, w0 = closed_form_block_peak(lam, M)
+        want_gamma, want_w0 = grid_block_peak(lam, M)
+        assert w0 == want_w0 == omega0
+        assert gamma == pytest.approx(want_gamma, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("lo, hi", [(1e-3, 1.0), (3.0, 1e3)])
+    def test_peak_outside_the_band_gives_the_band_edge(self, lo, hi):
+        # the uniform-bound block of the benchmark loop peaks at omega = 2.45
+        M = open_loop(make_cfg(3))
+        gamma, w0 = closed_form_block_peak(0.25 / 3.0, M, lo, hi)
+        want_gamma, want_w0 = grid_block_peak(0.25 / 3.0, M, lo, hi)
+        assert w0 == want_w0 == (hi if hi < 2.45 else lo)
+        assert gamma == pytest.approx(want_gamma, rel=1e-14, abs=0.0)
+
+    def test_harmonic_and_zeta_min_run_no_grid_search(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a grid search ran")
+
+        for name in ("_scan_grid", "_refine", "hinf_norm"):
+            monkeypatch.setattr(analysis, name, forbidden)
+        for eps in (0.5, 1.0):
+            cfg = make_cfg(20, eps=eps)
+            assert harmonic_test(cfg).hinf_gamma_fiedler > 1.0
+            assert zeta_min(cfg) > 1.0
+
+
+class TestPublicApi:
+    def test_every_exported_name_resolves(self):
+        import platoon_lab
+
+        assert all(hasattr(platoon_lab, name) for name in platoon_lab.__all__)
+        for name in ("make_block", "rtf_eval", "poly_mul", "poly_roots"):
+            assert name not in platoon_lab.__all__ and not hasattr(platoon_lab, name)
 
 
 class TestKappaModulus:

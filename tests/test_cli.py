@@ -72,6 +72,8 @@ class TestConfigParsing:
         ({"asymmetries": [0.5, 10 ** 400]}, "asymmetries entries must be within the range of a double"),
         ({"vehicle": {"num": [10 ** 400], "den": [0, 0, 1]}},
          "vehicle: int too large to convert to float"),
+        ({"ref_distance": 10 ** 400}, "ref_distance must be a finite number"),
+        ({"omega_band": [1e-3, 10 ** 400]}, "omega_band must be [lo, hi] with finite 0 < lo < hi"),
     ])
     def test_integer_beyond_double_range_exits_2(self, tmp_path, capsys, overrides, message):
         path = write_doc(tmp_path, base_doc(**overrides))
@@ -369,14 +371,27 @@ class TestNonFiniteResponse:
         assert "config error: non-finite response at omega=9.94257" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_wide_band_harmonic_fails_at_the_fiedler_block(self, tmp_path, capsys, caplog):
-        # the Fiedler block is searched before the bound's block, whose
-        # ConfigError the test would take as "cannot run at the uniform bound"
-        path, out = write_doc(tmp_path, base_doc(**self.WIDE)), tmp_path / "out"
-        with caplog.at_level(logging.WARNING), np.errstate(over="ignore", invalid="ignore"):
-            assert cli.main(["harmonic", "--config", path, "--out", str(out)]) == 2
-        assert "config error: non-finite response at omega=4.1002" in capsys.readouterr().err
-        assert not any("uniform bound" in r.message for r in caplog.records)
+    def test_wide_band_harmonic_equals_the_default_band(self, tmp_path):
+        # the block peaks are closed-form and evaluated in 1/(j*omega) above
+        # omega = 1, so nothing overflows (a RuntimeWarning would fail the test)
+        out = tmp_path / "out"
+        docs = []
+        for band in ([1e-3, 1e3], self.WIDE["omega_band"]):
+            path = write_doc(tmp_path, base_doc(**{**self.WIDE, "omega_band": band}))
+            assert cli.main(["harmonic", "--config", path, "--out", str(out)]) == 0
+            docs.append(json.loads(out.read_text()))
+        assert docs[1].pop("omega_band") == [1e-3, 1e200]
+        del docs[0]["omega_band"]
+        assert docs[0] == docs[1] and docs[0]["verdict"] == "harmonically-unstable"
+
+    def test_wide_band_improper_block_exits_2(self, tmp_path, capsys):
+        # (1 - s^2)/(1 + s)^2 closes at lam = 1 to (1 - s^2)/(2 + 2s), whose gain grows
+        # without bound: its peak is at 1e200, where 1 + lam*M rounds to exactly 0
+        doc = base_doc(n=4, asymmetries=0.0, vehicle={"num": [1, 0, -1], "den": [1, 2, 1]},
+                       controller=UNIT, omega_band=[1e-3, 1e200])
+        path, out = write_doc(tmp_path, doc), tmp_path / "out"
+        assert cli.main(["harmonic", "--config", path, "--out", str(out)]) == 2
+        assert "config error: closed-loop pole at the peak frequency" in capsys.readouterr().err
         assert not out.exists()
 
     def test_overflowing_product_gamma_exits_2(self, tmp_path, capsys):

@@ -8,7 +8,7 @@ import numpy.polynomial.polynomial as P
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from platoon_lab import (  # noqa: E402
     ConfigError,
@@ -18,7 +18,6 @@ from platoon_lab import (  # noqa: E402
     instantiate_family,
     open_loop,
     poly_eval,
-    poly_roots,
     product_response,
     spectrum_report,
 )
@@ -26,7 +25,15 @@ from platoon_lab import numerics  # noqa: E402
 from platoon_lab.analysis import _prepared  # noqa: E402
 from platoon_lab.platoon import _family_log_gains  # noqa: E402
 
-from conftest import CONTROLLER, VEHICLE, block_stable  # noqa: E402
+from conftest import (  # noqa: E402
+    CONTROLLER,
+    VEHICLE,
+    block_stable,
+    closed_form_block_peak,
+    grid_block_peak,
+    make_block,
+    poly_roots,
+)
 
 UNIT = RationalTF((1.0,), (1.0,))
 
@@ -185,3 +192,28 @@ def test_continuant_pass_matches_product_of_every_size(case):
         rep = spectrum_report(cfg)
         conditioning = 64 * np.finfo(float).eps * rep.gershgorin_upper * np.sum(1 / np.asarray(rep.eigenvalues))
         assert np.all(np.abs(rows[n][normal] - np.log(mags[normal])) <= 1e-10 + conditioning)
+
+
+@st.composite
+def stable_blocks(draw):
+    """A gain in [0.01, 10] and a PD or lead-lag controller over 1/s**2 whose closed-loop block is stable."""
+    k, a = draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 10.0))
+    if draw(st.booleans()):  # PD: k*(a + s)
+        M = RationalTF(num=(k * a, k), den=(0.0, 0.0, 1.0))
+    else:  # lead-lag: k*(a + s)/(b + s)
+        M = RationalTF(num=(k * a, k), den=(0.0, 0.0, draw(st.floats(0.1, 10.0)), 1.0))
+    lam = draw(st.floats(0.01, 10.0))
+    assume(block_stable(make_block(lam, M)))
+    return lam, M
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(stable_blocks())
+def test_closed_form_block_peak_matches_the_grid_search(case):
+    lam, M = case
+    gamma, w0 = closed_form_block_peak(lam, M)
+    want, _ = grid_block_peak(lam, M)
+    # the closed form is exact over the band, so the grid can only fall short
+    assert gamma >= want * (1.0 - 1e-12)
+    assert abs(gamma - want) <= 1e-9 * want
+    assert w0 == 0.0 or 1e-3 <= w0 <= 1e3

@@ -17,16 +17,14 @@ from platoon_lab import (
     build_laplacian,
     build_state_space,
     dt_limit,
-    make_block,
     open_loop,
-    poly_roots,
     product_response,
     simulate,
     spectrum_report,
 )
 from platoon_lab.analysis import _prepared, controllable_canonical
 
-from conftest import BAD_CONTROLLER, CONTROLLER, VEHICLE, block_stable, make_cfg
+from conftest import BAD_CONTROLLER, CONTROLLER, VEHICLE, block_stable, make_block, make_cfg, poly_roots
 
 
 def realization_response(cfg, omega):
