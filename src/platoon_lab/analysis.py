@@ -26,6 +26,7 @@ from scipy.linalg import solve_banded
 
 from .blockpeak import _block_peak, _ratio_at
 from .numerics import RationalTF, _column_blocks, _row_degrees, companion_roots, poly_eval
+from .peaksearch import DEFAULT_OMEGA_BAND, _refine, _scan_grid, hinf_norm  # noqa: F401
 from .platoon import (
     ConfigError,
     PlatoonConfig,
@@ -40,14 +41,9 @@ from .platoon import (
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_OMEGA_BAND = (1e-3, 1e3)
-
 HARMONICALLY_UNSTABLE = "harmonically-unstable"
 TEST_INCONCLUSIVE = "test-inconclusive"
 UNSTABLE_BLOCKS = "unstable-blocks"
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_N_SCAN = 2000  # coarse log-grid size of the peak search
 
 # A closed-loop pole is stable when its real part is below this.
 _STABLE_RE = -1e-9
@@ -314,85 +310,6 @@ def direct_response(cfg: PlatoonConfig, omega: float) -> complex:
     if not (math.isfinite(val.real) and math.isfinite(val.imag)):
         raise ValueError(f"response undefined at omega={omega}")
     return val
-
-
-def _mag_at(response, omega: float) -> float:
-    val = complex(np.asarray(response(omega)).reshape(()))
-    mag = abs(val)
-    if not math.isfinite(mag):
-        raise ConfigError(f"non-finite response at omega={omega}")
-    return mag
-
-
-def _scan_grid(omega_lo: float, omega_hi: float, n: int = _N_SCAN) -> np.ndarray:
-    if not 0 < omega_lo < omega_hi:
-        raise ValueError("need 0 < omega_lo < omega_hi")
-    return np.logspace(math.log10(omega_lo), math.log10(omega_hi), n)
-
-
-def hinf_norm(response, omega_lo: float = DEFAULT_OMEGA_BAND[0],
-              omega_hi: float = DEFAULT_OMEGA_BAND[1]):
-    """Peak magnitude of a frequency response over a band, plus its location: the platoon's peak search.
-
-    Parameters
-    ----------
-    response : callable
-        omega -> complex value; must accept an ndarray of frequencies.
-    omega_lo, omega_hi : float
-        Scan band in rad/s (log-spaced coarse scan of 2000 points before
-        golden-section refinement).
-
-    Returns
-    -------
-    (gamma, omega0) : tuple of float
-        ``gamma`` is the larger of the refined band peak and the DC value;
-        ``omega0`` is its frequency (0.0 when DC wins).  When several scan
-        points tie within 1e-9 the smallest frequency seeds the refinement.
-
-    Notes
-    -----
-    The reported value is the maximum over the scanned band plus DC, which
-    equals the supremum over all frequencies for responses that roll off
-    outside the band; widen the band for systems with activity outside it.
-    :func:`_refine` does all but the scan; :func:`gamma_sequence` reuses it.
-    """
-    grid = _scan_grid(omega_lo, omega_hi)
-    return _refine(response, grid, np.abs(np.asarray(response(grid))))
-
-
-def _refine(response, grid: np.ndarray, mags: np.ndarray):
-    """:func:`hinf_norm` from its scan magnitudes ``mags``; ``response`` gets one frequency a call."""
-    if not np.all(np.isfinite(mags)):
-        bad = grid[np.nonzero(~np.isfinite(mags))[0][0]]
-        raise ConfigError(f"non-finite response at omega={bad}")
-    top = float(mags.max())
-    i = int(np.nonzero(mags >= top * (1.0 - 1e-9))[0][0])
-    best_mag, best_w = float(mags[i]), float(grid[i])
-
-    # golden-section on log-frequency inside the bracketing cell pair
-    a = math.log(grid[max(i - 1, 0)])
-    b = math.log(grid[min(i + 1, _N_SCAN - 1)])
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = _mag_at(response, math.exp(c))
-    fd = _mag_at(response, math.exp(d))
-    while b - a > 1e-8:  # log-width equals relative width in omega
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = _mag_at(response, math.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = _mag_at(response, math.exp(d))
-        for fm, wm in ((fc, math.exp(c)), (fd, math.exp(d))):
-            if fm > best_mag:
-                best_mag, best_w = fm, wm
-
-    dc = _mag_at(response, 0.0)
-    if dc > best_mag:
-        return dc, 0.0
-    return best_mag, best_w
 
 
 def kappa_modulus_sq(kappa: float, alpha: float, beta: float) -> float:

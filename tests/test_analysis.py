@@ -302,6 +302,12 @@ class TestHinfNorm:
         with pytest.raises(ValueError):
             hinf_norm(lambda w: np.ones_like(w), omega_lo=1.0, omega_hi=0.1)
 
+    def test_peak_at_the_last_point_of_a_short_grid(self):
+        # the bracket's upper end is the grid's last point, whatever the grid's size
+        grid = np.logspace(0.0, 1.0, 50)
+        gamma, w0 = analysis._refine(lambda w: np.asarray(w) + 0j, grid, grid.copy())
+        assert gamma == w0 == 10.0
+
 
 class TestBlockPeak:
     """The closed-form block peak of :func:`blockpeak._block_peak`."""
@@ -529,6 +535,23 @@ class TestGammaSequence:
         monkeypatch.setattr(analysis, "product_response", spy)
         gamma_sequence(make_cfg(20, eps=0.5), [5, 40, 10])
         assert freqs_per_call and max(freqs_per_call) == 1
+
+    @pytest.mark.parametrize("eps", [0.5, 1.0])
+    def test_refinement_budget(self, monkeypatch, eps):
+        # at most 16 evaluations per size on average, the DC probe included: Brent's method
+        # needs 9 to 24 for one size and 12.3 (eps 0.5) and 11.0 (eps 1.0) on average; the
+        # golden section took 33 for every size
+        calls = []
+        real = analysis.product_response
+
+        def spy(cfg, omega):
+            calls.append(np.size(omega))
+            return real(cfg, omega)
+
+        monkeypatch.setattr(analysis, "product_response", spy)
+        sizes = range(5, 201, 5)
+        gamma_sequence(make_cfg(20, eps=eps), sizes)
+        assert len(calls) <= 16 * len(sizes)
 
     def test_sweep_at_n2000_holds_no_grid(self):
         _prepared.cache_clear()

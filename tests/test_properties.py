@@ -15,6 +15,7 @@ from platoon_lab import (  # noqa: E402
     PlatoonConfig,
     RationalTF,
     frequency_series,
+    hinf_norm,
     instantiate_family,
     open_loop,
     poly_eval,
@@ -23,6 +24,7 @@ from platoon_lab import (  # noqa: E402
 )
 from platoon_lab import numerics  # noqa: E402
 from platoon_lab.analysis import _prepared  # noqa: E402
+from platoon_lab.peaksearch import _scan_grid  # noqa: E402
 from platoon_lab.platoon import _family_log_gains  # noqa: E402
 
 from conftest import (  # noqa: E402
@@ -142,6 +144,17 @@ def test_product_response_matches_mpmath_product(cfg, log_omegas):
             m = mpmath.polyval(M.num.coeffs[::-1], s) / mpmath.polyval(M.den.coeffs[::-1], s)
             expect = mpmath.fprod(lam * m / (1 + lam * m) for lam in lams) / cfg.gains[0]
             assert abs(val - complex(expect)) <= 1e-12 * abs(complex(expect))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(golden_loop_platoons())
+def test_peak_search_reaches_the_dense_maximum_of_its_bracket(cfg):
+    gamma, _ = hinf_norm(lambda w: product_response(cfg, w))
+    grid = _scan_grid(1e-3, 1e3)
+    mags = np.abs(product_response(cfg, grid))
+    i = int(np.nonzero(mags >= mags.max() * (1.0 - 1e-9))[0][0])
+    dense = np.geomspace(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)], 4001)
+    assert gamma >= (1.0 - 1e-13) * np.abs(product_response(cfg, dense)).max()
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
