@@ -25,6 +25,8 @@ import math
 import sys
 from contextlib import contextmanager
 
+import numpy as np
+
 from . import analysis, platoon, sim
 from .numerics import RationalTF
 from .platoon import ConfigError
@@ -174,6 +176,11 @@ def cmd_freqresp(config_path: str, out_path=None, n_points: int = 400) -> int:
     cfg, band, _ = load_config(config_path)
     if n_points < 2:
         raise ConfigError("points must be >= 2")
+    try:
+        np.empty(n_points, dtype=complex)  # the response values frequency_series returns
+    except (MemoryError, ValueError):  # numpy's ValueError: more entries than an index can address
+        raise ConfigError(f"frequency grid of {n_points} points does not fit in memory; "
+                          "lower points") from None
     series = analysis.frequency_series(cfg, n_points=n_points, omega_band=band)
     with _output(out_path) as fh:
         analysis.write_freq_csv(series, fh)

@@ -185,6 +185,15 @@ class TestCmdFreqresp:
         first = lines[1].split(",")
         assert abs(float(first[3])) < 1e-3  # 0 dB at the low edge
 
+    @pytest.mark.parametrize("points", [
+        10 ** 12,  # beyond the address space
+        10 ** 20,  # beyond numpy's size limit
+    ])
+    def test_oversized_frequency_grid_exits_2(self, tmp_path, capsys, points):
+        path = write_doc(tmp_path, base_doc(n=6))
+        assert cli.main(["freqresp", "--config", path, "--points", str(points)]) == 2
+        assert f"frequency grid of {points} points" in capsys.readouterr().err
+
     def test_matches_direct_oracle(self, tmp_path):
         path = write_doc(tmp_path, base_doc(n=6))
         out = tmp_path / "freq.csv"

@@ -19,6 +19,7 @@ from platoon_lab import (
     dt_limit,
     open_loop,
     product_response,
+    sim,
     simulate,
     spectrum_report,
 )
@@ -69,6 +70,21 @@ def reference_rk4(sc):
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[k + 1] = C @ x
     return times, out
+
+
+def column_propagator(A, B, h):
+    """Reference (T, G): the RK4 step applied to one unit state or unit input at a time."""
+    d = A.shape[0]
+    T = np.empty((d, d))
+    G = np.empty((d, 3))
+    unit = np.zeros(d)
+    for j in range(d):
+        unit[j] = 1.0
+        T[:, j] = sim._rk4_step(A, B, h, unit, 0.0, 0.0, 0.0)
+        unit[j] = 0.0
+    for j, w in enumerate(np.eye(3)):
+        G[:, j] = sim._rk4_step(A, B, h, np.zeros(d), *w)
+    return T, G
 
 
 def f_string_csv(ts):
@@ -208,16 +224,21 @@ class TestSimulate:
         two = simulate(SimScenario(cfg=cfg, leader_signal=StepSignal(2.0), t_end=5.0, dt=0.01))
         assert np.array_equal(two.positions, 2.0 * one.positions)
 
-    @pytest.mark.parametrize("t_end, rows", [
-        (12.5, 2501),  # the propagator; 2500 steps span three leader-signal chunks, the last one partial
-        (0.02, 5),  # fewer steps than 4d/3: the RK4 step itself
+    @pytest.mark.parametrize("t_end, rows, sizes", [
+        # 2500 steps span three leader-signal chunks, the last one partial
+        pytest.param(12.5, 2501, (2, 9), id="12.5-2501"),
+        pytest.param(0.02, 5, (2, 9), id="0.02-5"),
+        # d = 4(n-1) >= 112 exceeds the build's group width 45, so each
+        # probe of the propagator carries two or three columns
+        pytest.param(0.005, 2, (29, 32), id="0.005-2-n29to31"),
+        pytest.param(0.02, 5, (29, 32), id="0.02-5-n29to31"),
     ])
-    def test_matches_reference_rk4_loop(self, t_end, rows):
+    def test_matches_reference_rk4_loop(self, t_end, rows, sizes):
         # seeded random platoons
         rng = np.random.default_rng(8)
         for signal in (StepSignal(1.5), SineSignal(0.7, 1.3)):
             for _ in range(3):
-                n = int(rng.integers(2, 9))
+                n = int(rng.integers(*sizes))
                 cfg = PlatoonConfig(n=n, gains=tuple(rng.uniform(0.5, 2.0, n - 1)),
                                     asymmetries=tuple(rng.uniform(0.0, 0.9, n - 1)),
                                     vehicle=VEHICLE, controller=CONTROLLER)
@@ -227,6 +248,42 @@ class TestSimulate:
                 assert len(times) == rows and np.array_equal(ts.times, times)
                 peak = np.max(np.abs(expect))
                 assert np.max(np.abs(ts.positions - expect)) <= 1e-12 * peak
+
+    def test_grouped_propagator_is_bitwise_column_build(self):
+        # seeded random open loops of order m = 1..5, with the state dimension
+        # d both below and above the group width 12m - 3
+        rng = np.random.default_rng(16)
+        unit = RationalTF((1.0,), (1.0,))
+        cases = [make_cfg(30)]  # the README loop, m = 4: d = 116 against a width of 45
+        for m in range(1, 6):
+            width = 12 * m - 3
+            for n in (1 + (width - 1) // m, 2 + 2 * width // m):
+                vehicle = RationalTF(num=tuple(rng.uniform(-2.0, 2.0, m)),
+                                     den=tuple(rng.uniform(-2.0, 2.0, m)) + (float(rng.uniform(0.5, 2.0)),))
+                cases.append(PlatoonConfig(n=n, gains=tuple(rng.uniform(0.3, 3.0, n - 1)),
+                                           asymmetries=tuple(rng.uniform(0.0, 1.5, n - 1)),
+                                           vehicle=vehicle, controller=unit))
+        for cfg in cases:
+            A, B, C = build_state_space(cfg)
+            m = A.shape[0] // C.shape[0]
+            for h in (0.01, 0.3):
+                T, G = sim._propagator(A, B, h, m)
+                T_ref, G_ref = column_propagator(A, B, h)
+                assert T.tobytes() == T_ref.tobytes() and G.tobytes() == G_ref.tobytes()
+
+    def test_propagator_probe_budget(self, monkeypatch):
+        # 12m - 3 grouped state probes and 3 input probes, whatever the size
+        calls = []
+        rk4_step = sim._rk4_step
+
+        def spy(*args):
+            calls.append(None)
+            return rk4_step(*args)
+
+        monkeypatch.setattr(sim, "_rk4_step", spy)
+        A, B, C = build_state_space(make_cfg(100))  # m = 4, d = 396
+        sim._propagator(A, B, 0.01, A.shape[0] // C.shape[0])
+        assert len(calls) <= 12 * 4 - 3 + 3
 
     def test_no_whole_horizon_work_arrays(self):
         # the output grid is the only allocation that grows with the horizon
