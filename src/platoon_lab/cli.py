@@ -53,6 +53,14 @@ def _broadcast(value, n: int, field: str) -> tuple[float, ...]:
         raise ConfigError(f"{field} entries must be numbers") from None
 
 
+def _check_size(n: int, field: str) -> None:
+    """Raise ConfigError naming ``n`` when a platoon of n vehicles cannot hold its n - 1 gains."""
+    try:
+        np.empty(n - 1)
+    except (MemoryError, ValueError, OverflowError):  # numpy's ValueError and OverflowError: beyond its size limit
+        raise ConfigError(f"platoon of {n} vehicles does not fit in memory; lower {field}") from None
+
+
 def _finite_number(x) -> bool:
     try:
         return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
@@ -85,6 +93,7 @@ def parse_config(doc: dict) -> tuple[platoon.PlatoonConfig, tuple[float, float],
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise ConfigError("n must be an integer >= 2")
+    _check_size(n, "n")
     for field in ("gains", "asymmetries"):
         if field not in doc:
             raise ConfigError(f"{field} required")
@@ -152,6 +161,7 @@ def _write_json(doc: dict, out_path) -> None:
 def cmd_spectrum(config_path: str, out_path=None) -> int:
     cfg, _, _ = load_config(config_path)
     doc = dict(vars(platoon.spectrum_report(cfg)))  # a shallow copy: the report is cached
+    doc["eigenvalues"] = doc["eigenvalues"].tolist()
     lower = doc.pop("fiedler_lower")
     if lower is None:
         logger.info("max asymmetry >= 1: no uniform lower bound on this route; "
@@ -195,6 +205,7 @@ def cmd_gamma(config_path: str, out_path=None, n_min: int = 5, n_max: int = 50,
             raise ConfigError("sweep requires scalar template")
     if not (2 <= n_min <= n_max and n_step >= 1):
         raise ConfigError("need 2 <= n-min <= n-max and n-step >= 1")
+    _check_size(n_max, "n-max")
     points = analysis.gamma_sequence(cfg, range(n_min, n_max + 1, n_step), band)
     with _output(out_path) as fh:
         fh.write("n,gamma,gamma_root_n,zeta_min_lower\n")

@@ -30,53 +30,34 @@ class ThetaRoots:
     epsilon: float
 
 
-def _residual(theta, n: int, eps: float):
-    return np.sin((n - 1) * theta) - math.sqrt(1.0 / eps) * np.sin(n * theta)
-
-
 def solve_thetas(n: int, eps: float) -> ThetaRoots:
     """All n-1 roots of the angle equation in the open interval (0, pi).
 
-    Roots are bracketed by sign changes on a uniform grid of 64*n points and
-    polished by bisection to a residual below 1e-12.  If bracketing does not
-    find exactly n-1 roots the grid is refined once by a factor of 4 before
-    failing.
+    f(theta) is negative just above 0 and f(k*pi/n) = (-1)**(k+1) * sin(k*pi/n),
+    so each of (0, pi/n) and (k*pi/n, (k+1)*pi/n), k = 1..n-2, holds exactly
+    one root, and f just above its left end has the sign (-1)**(k+1).  All
+    n-1 brackets are bisected together, 100 times: to adjacent doubles.
 
     Raises
     ------
     ValueError
-        If n < 2, eps is outside (0, 1), or bracketing fails.
+        If n < 2 or eps is outside (0, 1).
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie strictly between 0 and 1")
 
-    for gridmult in (64, 256):
-        grid = np.linspace(0.0, math.pi, gridmult * n + 1)[1:-1]
-        vals = _residual(grid, n, eps)
-        exact = grid[vals == 0.0]
-        flips = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
-        if len(exact) + len(flips) == n - 1:
-            lo = grid[flips]
-            hi = grid[flips + 1]
-            flo = vals[flips]
-            # vectorized bisection; interval shrinks to ~1 ulp in < 60 steps
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                fmid = _residual(mid, n, eps)
-                left = flo * fmid > 0.0
-                lo = np.where(left, mid, lo)
-                flo = np.where(left, fmid, flo)
-                hi = np.where(left, hi, mid)
-                if np.all(np.abs(fmid) <= 1e-13) or np.all(hi - lo <= 1e-15):
-                    break
-            roots = np.sort(np.concatenate([exact, 0.5 * (lo + hi)]))
-            return ThetaRoots(thetas=tuple(float(t) for t in roots), epsilon=float(eps))
-    raise ValueError(
-        f"root bracketing failed: expected {n - 1} roots, "
-        f"found {len(exact) + len(flips)} for n={n}, eps={eps}"
-    )
+    k = np.arange(n - 1)
+    lo, hi = k * math.pi / n, (k + 1) * math.pi / n
+    sign_lo = np.where(k % 2, 1.0, -1.0)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        f = np.sin((n - 1) * mid) - math.sqrt(1.0 / eps) * np.sin(n * mid)
+        left = sign_lo * f > 0.0
+        lo = np.where(left, mid, lo)
+        hi = np.where(left, hi, mid)
+    return ThetaRoots(thetas=tuple((0.5 * (lo + hi)).tolist()), epsilon=float(eps))
 
 
 def closedform_eigenvalues(n: int, eps: float) -> np.ndarray:

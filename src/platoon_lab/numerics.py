@@ -38,14 +38,9 @@ _BLOCK_BYTES = 1 << 20
 
 
 def _column_blocks(grid: np.ndarray, rows: int) -> list[np.ndarray]:
-    """``grid`` in consecutive blocks whose ``rows``-by-block complex array holds about _BLOCK_BYTES.
-
-    Every block has at least 2 entries (unless ``grid`` has fewer): numpy
-    sums axis 0 of a one-column array pairwise, not row by row, which would
-    change the bytes of the sum.
-    """
+    """``grid`` in consecutive blocks whose ``rows``-by-block complex array holds about _BLOCK_BYTES."""
     k = -(-16 * rows * grid.size // _BLOCK_BYTES)
-    return np.array_split(grid, max(1, min(grid.size // 2, k)))
+    return np.array_split(grid, max(1, min(grid.size, k)))
 
 
 def _normalize(coeffs) -> tuple[float, ...]:

@@ -86,11 +86,11 @@ class PlatoonConfig:
         object.__setattr__(self, "ref_distance", float(self.ref_distance))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumReport:
-    """Sorted reduced-Laplacian eigenvalues plus analytic bounds."""
+    """Reduced-Laplacian eigenvalues, ascending in a read-only array, plus analytic bounds."""
 
-    eigenvalues: tuple[float, ...]
+    eigenvalues: np.ndarray
     fiedler: float
     gershgorin_upper: float
     fiedler_lower: float | None = None  # asymmetry-based uniform bound, None when eps_max >= 1
@@ -180,7 +180,8 @@ def spectrum(sub, diag, sup) -> SpectrumReport:
     symmetric tridiagonal matrix with off-diagonal sqrt(sub*sup); a zero
     superdiagonal entry (zero asymmetry) gives a zero off-diagonal, which
     decouples the rows above from the rows below.  One call to a standard
-    implicit-shift tridiagonal eigensolver gives the eigenvalues.
+    implicit-shift tridiagonal eigensolver gives the eigenvalues, ascending;
+    its array is the report's, made read-only.
 
     Raises
     ------
@@ -201,9 +202,10 @@ def spectrum(sub, diag, sup) -> SpectrumReport:
     if not np.all(np.isfinite(prod)) or np.any((sup != 0.0) & (prod <= 0)):
         raise ConfigError("off-diagonal sign pattern is not symmetrizable: sub*sup must be "
                           "finite, and > 0 where sup != 0")
-    eigs = np.sort(eigh_tridiagonal(diag, np.sqrt(prod), eigvals_only=True))
+    eigs = eigh_tridiagonal(diag, np.sqrt(prod), eigvals_only=True)
+    eigs.flags.writeable = False
     return SpectrumReport(
-        eigenvalues=tuple(eigs.tolist()),
+        eigenvalues=eigs,
         fiedler=float(eigs[0]),
         gershgorin_upper=float(2.0 * diag.max()),
     )

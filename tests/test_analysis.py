@@ -199,10 +199,12 @@ class TestProductResponse:
         assert peak < 1.5 * 400 * grid.size * 16  # one (n-1)-by-F complex grid is 12.8 MB
 
     def test_array_evaluation_matches_scalars(self):
-        cfg = make_cfg(5)
-        w = np.array([0.1, 1.0, 10.0])
-        arr = product_response(cfg, w)
-        assert np.allclose(arr, [product_response(cfg, x) for x in w], rtol=1e-13)
+        # each frequency's log-sum is one contiguous row: the same bits alone as in a grid
+        w = np.logspace(-3.0, 3.0, 400)
+        for n in (5, 20, 200):
+            cfg = make_cfg(n)
+            scalars = np.array([product_response(cfg, x) for x in w])
+            assert product_response(cfg, w).tobytes() == scalars.tobytes()
 
     def test_unstable_blocks_warn_but_evaluate(self, caplog):
         cfg = make_cfg(3, controller=BAD_CONTROLLER)
@@ -291,12 +293,19 @@ class TestHinfNorm:
             assert gamma > 1.0
 
     def test_non_finite_response_names_frequency(self):
+        grid = analysis._scan_grid(1e-3, 1e3)
+
         def bad(w):
             w = np.asarray(w, dtype=float)
             return np.where(w > 1.0, np.inf, 1.0) + 0j
 
-        with pytest.raises(ValueError, match="non-finite response at omega="):
-            hinf_norm(bad)
+        def between(w):  # finite at every scan point, so only a refinement probe sees inf
+            w = np.asarray(w, dtype=float)
+            return np.where(np.isin(w, grid), 1.0, np.inf) + 0j
+
+        for response in (bad, between):
+            with pytest.raises(ValueError, match="non-finite response at omega="):
+                hinf_norm(response)
 
     def test_band_validation(self):
         with pytest.raises(ValueError):

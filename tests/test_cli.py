@@ -28,6 +28,14 @@ def write_doc(tmp_path, doc, name="cfg.json"):
     return str(path)
 
 
+def doc_text(*missing, **overrides):
+    """JSON text of ``base_doc(**overrides)`` with the fields ``missing`` removed."""
+    doc = base_doc(**overrides)
+    for field in missing:
+        del doc[field]
+    return json.dumps(doc)
+
+
 class TestConfigParsing:
     def test_scalar_broadcast(self):
         cfg, band, _ = cli.parse_config(base_doc(n=4))
@@ -81,6 +89,44 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err.count("config error") == 1 and message in err
 
+    @pytest.mark.parametrize("command, text, flags, message", [
+        ("spectrum", "[1, 2]", [], "config must be a JSON object"),
+        ("spectrum", None, [], "cannot read config"),
+        ("spectrum", "{", [], "config is not valid JSON"),
+        ("spectrum", doc_text(n=1), [], "n must be an integer >= 2"),
+        ("spectrum", doc_text(n=2.5), [], "n must be an integer >= 2"),
+        ("spectrum", doc_text("gains"), [], "gains required"),
+        ("spectrum", doc_text(gains="1"), [], "gains must be a number or an array of numbers"),
+        ("spectrum", doc_text(gains=[1.0, None]), [], "gains entries must be numbers"),
+        ("spectrum", doc_text("vehicle"), [], "vehicle required"),
+        ("spectrum", doc_text(vehicle={"num": [], "den": [0, 0, 1]}), [],
+         "vehicle.num must be a nonempty array of coefficients"),
+        ("freqresp", doc_text(), ["--points", "1"], "points must be >= 2"),
+        ("gamma", doc_text(), ["--n-min", "10", "--n-max", "5"], "need 2 <= n-min <= n-max and n-step >= 1"),
+    ])
+    def test_config_fault_exits_2(self, tmp_path, capsys, command, text, flags, message):
+        path = tmp_path / "cfg.json"  # not written when text is None: an unreadable path
+        if text is not None:
+            path.write_text(text)
+        assert cli.main([command, "--config", str(path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error") == 1 and message in err
+
+    @pytest.mark.parametrize("size", [
+        10 ** 12,  # 7.3 TiB of gains
+        10 ** 20,  # beyond numpy's size limit
+    ])
+    @pytest.mark.parametrize("command, field", [("spectrum", "n"), ("gamma", "n-max")])
+    def test_oversized_platoon_exits_2(self, tmp_path, capsys, size, command, field):
+        if field == "n":
+            args = ["--config", write_doc(tmp_path, base_doc(n=size))]
+        else:
+            args = ["--config", write_doc(tmp_path, base_doc()), "--n-max", str(size)]
+        assert cli.main([command, *args]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error") == 1
+        assert f"platoon of {size} vehicles does not fit in memory; lower {field}" in err
+
     def test_round_trip_identity(self):
         cfg, band, _ = cli.parse_config(base_doc(n=5, gains=[1, 2, 3, 4], asymmetries=0.25))
         again, band2, _ = cli.parse_config(cli.config_to_dict(cfg, band))
@@ -111,6 +157,13 @@ class TestCmdSpectrum:
         assert "theorem1_lower" not in doc
         assert "dominance_certificate" not in doc
         assert any("no uniform lower bound" in r.message for r in caplog.records)
+
+    def test_report_without_out_goes_to_stdout(self, tmp_path, capsys):
+        path = write_doc(tmp_path, base_doc())
+        out = tmp_path / "report.json"
+        assert cli.main(["spectrum", "--config", path, "--out", str(out)]) == 0
+        assert cli.main(["spectrum", "--config", path]) == 0
+        assert capsys.readouterr().out == out.read_text()
 
     def test_missing_field_exits_2(self, tmp_path, capsys):
         doc = base_doc()

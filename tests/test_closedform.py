@@ -55,7 +55,7 @@ class TestClosedformEigenvalues:
         assert lam[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_numerical_spectrum(self):
-        for n, eps in [(3, 0.5), (20, 0.5), (15, 0.25), (8, 0.9)]:
+        for n, eps in [(3, 0.5), (20, 0.5), (15, 0.25), (8, 0.9), (2000, 1e-6), (2000, 0.999999)]:
             rep = spectrum_report(make_cfg(n, eps=eps))
             assert np.allclose(closedform_eigenvalues(n, eps), rep.eigenvalues, atol=1e-8)
 

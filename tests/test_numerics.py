@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from platoon_lab import ConfigError, PlatoonConfig, Polynomial, RationalTF, open_loop, poly_eval
+from platoon_lab import ConfigError, PlatoonConfig, Polynomial, RationalTF, numerics, open_loop, poly_eval
 from platoon_lab.blockpeak import _block_peak
 from platoon_lab.numerics import companion_roots
 
@@ -156,3 +156,9 @@ class TestRtfEval:
             if abs(s) < 1e-3:
                 continue
             assert tf_at(M, s) == pytest.approx(tf_at(C, s) * tf_at(G, s), rel=1e-12)
+
+
+class TestColumnBlocks:
+    def test_a_one_byte_budget_gives_one_frequency_per_block(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_BLOCK_BYTES", 1)
+        assert [b.tolist() for b in numerics._column_blocks(np.arange(3.0), 2)] == [[0.0], [1.0], [2.0]]

@@ -158,8 +158,8 @@ def test_peak_search_reaches_the_dense_maximum_of_its_bracket(cfg):
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
-@given(golden_loop_platoons(), st.sampled_from([2, 3, 401]), st.integers(1, 1 << 20))
-# a block target of 1 byte gives the most blocks: 200 at 401 points, the last of 2 columns
+@given(golden_loop_platoons(), st.sampled_from([1, 2, 3, 401]), st.integers(1, 1 << 20))
+# a block target of 1 byte gives the most blocks: 401 at 401 points, one frequency each
 @example(PlatoonConfig(n=30, gains=[1.0] * 29, asymmetries=[0.5] * 29, vehicle=VEHICLE, controller=CONTROLLER),
          401, 1)
 def test_frequency_blocks_match_one_product_bit_for_bit(cfg, n_points, block_bytes):
