@@ -18,7 +18,6 @@ from .analysis import (
     FreqSeries,
     GammaPoint,
     HarmonicVerdict,
-    build_state_space,
     direct_response,
     frequency_series,
     gamma_sequence,
@@ -42,7 +41,7 @@ __all__ = [
     "spectrum", "spectrum_report",
     "ThetaRoots", "closedform_eigenvalues", "solve_thetas",
     "FreqSeries", "GammaPoint", "HarmonicVerdict",
-    "build_state_space", "direct_response", "frequency_series", "gamma_sequence",
+    "direct_response", "frequency_series", "gamma_sequence",
     "harmonic_test", "hinf_norm", "instantiate_family", "kappa_modulus_sq",
     "open_loop", "product_response", "verify_eigen_identities", "zeta_min",
     "SimScenario", "SineSignal", "StepSignal", "TimeSeries", "dt_limit", "simulate",

@@ -33,7 +33,6 @@ from .platoon import (
     SpectrumReport,
     _coupled_bands,
     _family_log_gains,
-    banded_matrix,
     build_laplacian,
     instantiate_family,
     spectrum_report,
@@ -246,29 +245,17 @@ def controllable_canonical(tf: RationalTF) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=32)
 def _oracle_realization(cfg: PlatoonConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The A of :func:`build_state_space` in band storage, and C_m; cached per config for the oracle.
-
-    With m the open-loop order, A is block tridiagonal with lower bandwidth
-    2m-1 and upper bandwidth m, so its bands take O(n*m**2) floats where the
-    dense A takes ((n-1)*m)**2 (see :func:`platoon._coupled_bands`).  Both
-    arrays are read-only, since the cache shares them.
-    """
-    a, c = controllable_canonical(open_loop(cfg))
-    ab = _coupled_bands(cfg, a, c)
-    ab.flags.writeable = c.flags.writeable = False
-    return ab, c
-
-
-def build_state_space(cfg: PlatoonConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reduced-platoon realization driven by the leader's position.
+    """Reduced-platoon realization driven by the leader: A in band storage, and C_m.
 
     Each vehicle carries a controllable-canonical realization of the open
-    loop M = C*G; the vehicles are coupled through the reduced Laplacian, and
-    the leader's position enters vehicle 2 with gain mu_2, so the map from
-    leader position to the last vehicle is mu_2 times the platoon transfer
-    function (unit DC gain with an integrator in the loop).  Outputs are the
-    positions of all vehicles 2..n.  A is the dense expansion of the bands
-    of :func:`_oracle_realization`, the one builder.
+    loop M = C*G, and the vehicles are coupled through the reduced
+    Laplacian, so A = I (x) A_m - R (x) B_m C_m.  The leader's position
+    enters vehicle 2 through B = mu_2 e_m, and C_m reads one vehicle's
+    position from its m states.  With m the open-loop order, A is block
+    tridiagonal with lower bandwidth 2m-1 and upper bandwidth m, so its bands
+    take O(n*m**2) floats where the dense A takes ((n-1)*m)**2 (see
+    :func:`platoon._coupled_bands`).  Cached per config for the oracle, so
+    both arrays are read-only; :func:`sim.simulate` builds them uncached.
 
     Raises
     ------
@@ -277,13 +264,10 @@ def build_state_space(cfg: PlatoonConfig) -> tuple[np.ndarray, np.ndarray, np.nd
         below its denominator degree (the position output has no
         feedthrough).
     """
-    ab, c = _oracle_realization.__wrapped__(cfg)  # not cached: sim expands the bands once
-    m, nn = c.size, cfg.n - 1
-    B = np.zeros(nn * m)
-    B[m - 1] = cfg.gains[0]
-    C = np.zeros((nn, nn, m))
-    C[np.arange(nn), np.arange(nn)] = c
-    return banded_matrix(ab, m), B, C.reshape(nn, -1)
+    a, c = controllable_canonical(open_loop(cfg))
+    ab = _coupled_bands(cfg, a, c)
+    ab.flags.writeable = c.flags.writeable = False
+    return ab, c
 
 
 def direct_response(cfg: PlatoonConfig, omega: float) -> complex:
@@ -458,7 +442,9 @@ def verify_eigen_identities(cfg: PlatoonConfig) -> tuple[np.ndarray, float]:
     # rounded subtraction is monotone, so the closest pair is adjacent once sorted
     if n > 2 and np.diff(np.sort(lam)).min() <= 1e-8:
         raise ValueError("identities require simple eigenvalues")
-    g = np.linalg.solve(V, np.eye(n)[:, 1])
+    e2 = np.zeros(n)
+    e2[1] = 1.0
+    g = np.linalg.solve(V, e2)
     h = (g * V[n - 1, :])[keep]
     power_res = np.array([abs(np.sum(h * lam ** m)) for m in range(0, n - 2)])
     inverse_res = abs(np.sum(h / lam) - 1.0 / cfg.gains[0])
@@ -467,9 +453,19 @@ def verify_eigen_identities(cfg: PlatoonConfig) -> tuple[np.ndarray, float]:
 
 def frequency_series(cfg: PlatoonConfig, n_points: int = 400,
                      omega_band: tuple[float, float] = DEFAULT_OMEGA_BAND) -> FreqSeries:
-    """Leader-to-last-vehicle frequency response mu_2*T on a log grid, evaluated in blocks of ~1 MB."""
+    """Leader-to-last-vehicle frequency response mu_2*T on a log grid, evaluated in blocks of ~1 MB.
+
+    Where the product of blocks leaves double range (n of a few thousand) or
+    Horner evaluation of M overflows (a very wide band), a value is NaN or
+    infinite; such values are kept, and one warning says how many there are.
+    """
     grid = _scan_grid(*omega_band, n_points)
-    values = cfg.gains[0] * np.concatenate([product_response(cfg, w) for w in _column_blocks(grid, cfg.n - 1)])
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are counted below
+        values = cfg.gains[0] * np.concatenate([product_response(cfg, w) for w in _column_blocks(grid, cfg.n - 1)])
+    bad = np.count_nonzero(~np.isfinite(values))
+    if bad:
+        logger.warning("%d of %d frequency response values are not finite; they are kept as computed",
+                       bad, grid.size)
     return FreqSeries(omegas=grid, values=values)
 
 

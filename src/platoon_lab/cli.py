@@ -8,7 +8,6 @@ Config schema (JSON object):
                   the last entry is forced to 0 with a logged notice
     vehicle       {"num": [...], "den": [...]} ascending coefficients
     controller    {"num": [...], "den": [...]}
-    ref_distance  optional, default 1.0
     omega_band    optional [lo, hi] rad/s, default [1e-3, 1e3]
 
 Exit codes: 0 ok, 2 config validation failure, 3 unstable closed-loop blocks,
@@ -101,16 +100,13 @@ def parse_config(doc: dict) -> tuple[platoon.PlatoonConfig, tuple[float, float],
     asym = _broadcast(doc["asymmetries"], n, "asymmetries")
     vehicle = _tf_from(doc, "vehicle")
     controller = _tf_from(doc, "controller")
-    ref = doc.get("ref_distance", 1.0)
-    if not _finite_number(ref):
-        raise ConfigError("ref_distance must be a finite number")
     band = doc.get("omega_band", list(analysis.DEFAULT_OMEGA_BAND))
     if (not isinstance(band, list) or len(band) != 2
             or not all(_finite_number(x) for x in band)
             or not 0 < band[0] < band[1]):
         raise ConfigError("omega_band must be [lo, hi] with finite 0 < lo < hi")
     cfg = platoon.PlatoonConfig(n=n, gains=gains, asymmetries=asym, vehicle=vehicle,
-                                controller=controller, ref_distance=float(ref))
+                                controller=controller)
     if asym[-1] != 0.0:
         logger.info("last asymmetry %g overwritten to 0: the trailing vehicle has no follower",
                     asym[-1])
@@ -137,7 +133,6 @@ def config_to_dict(cfg: platoon.PlatoonConfig,
         "asymmetries": list(cfg.asymmetries),
         "vehicle": {"num": list(cfg.vehicle.num.coeffs), "den": list(cfg.vehicle.den.coeffs)},
         "controller": {"num": list(cfg.controller.num.coeffs), "den": list(cfg.controller.den.coeffs)},
-        "ref_distance": cfg.ref_distance,
         "omega_band": list(omega_band),
     }
 
@@ -226,6 +221,11 @@ def cmd_step(config_path: str, out_path=None, t_end: float = 100.0, dt: float = 
 
 def cmd_identities(config_path: str) -> int:
     cfg, _, _ = load_config(config_path)
+    try:
+        np.empty((cfg.n, cfg.n))  # the dense Laplacian the identities work on
+    except (MemoryError, ValueError):  # numpy's ValueError: more bytes than an index can address
+        raise ConfigError(f"platoon of {cfg.n} vehicles: its {cfg.n} x {cfg.n} Laplacian does not fit "
+                          "in memory; lower n") from None
     try:
         power_res, inverse_res = analysis.verify_eigen_identities(cfg)
     except ValueError as exc:

@@ -9,8 +9,9 @@ leaves a tridiagonal "reduced" Laplacian whose spectrum is real, nonnegative,
 and equal to the nonzero spectrum of the full matrix.  The reduced Laplacian
 is carried as its (sub, diag, sup) bands, so memory stays linear in ``n``.
 The platoon's coupled state-space matrix is assembled from the same bands in
-LAPACK band storage, and :func:`banded_matrix` is the one dense expansion of
-band storage.  A template's repeating gain/asymmetry rule instantiates a
+LAPACK band storage; :func:`banded_matrix` is the one dense expansion of
+band storage, and :func:`_band_product` applies band storage to a vector.
+A template's repeating gain/asymmetry rule instantiates a
 family of platoons, one per size, whose reduced Laplacians share their
 leading blocks; one continuant pass over the largest member's bands gives
 the platoon gain of every member on a frequency grid.
@@ -52,9 +53,6 @@ class PlatoonConfig:
         length n - 1.  The last entry is forced to 0 (no follower behind).
     vehicle, controller : RationalTF
         Identical per-vehicle model G(s) and on-board controller C(s).
-    ref_distance : float
-        Desired inter-vehicle spacing in meters; used only for reconstructing
-        absolute positions from simulated deviations.
     """
 
     n: int
@@ -62,7 +60,6 @@ class PlatoonConfig:
     asymmetries: tuple[float, ...]
     vehicle: RationalTF
     controller: RationalTF
-    ref_distance: float = 1.0
 
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 2:
@@ -83,7 +80,6 @@ class PlatoonConfig:
             raise ConfigError("every Laplacian diagonal entry gain*(1 + asymmetry) must be finite")
         object.__setattr__(self, "gains", gains)
         object.__setattr__(self, "asymmetries", asym)
-        object.__setattr__(self, "ref_distance", float(self.ref_distance))
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,6 +129,18 @@ def banded_matrix(ab: np.ndarray, upper: int) -> np.ndarray:
         j = np.arange(max(k, 0), min(dim, dim + k))
         A[j - k, j] = band[j]
     return A
+
+
+def _band_product(ab: np.ndarray, upper: int, x: np.ndarray) -> np.ndarray:
+    """``banded_matrix(ab, upper) @ x`` from the bands alone, one band row at a time."""
+    dim = ab.shape[1]
+    y = np.zeros(dim)
+    for r, band in enumerate(ab):
+        k = upper - r  # this band row holds A[j - k, j]
+        lo, hi = max(k, 0), min(dim, dim + k)
+        if lo < hi:  # a band row whose offset reaches dim holds no entry
+            y[lo - k:hi - k] += band[lo:hi] * x[lo:hi]
+    return y
 
 
 def _coupled_bands(cfg: PlatoonConfig, a: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -319,7 +327,6 @@ def instantiate_family(template: PlatoonConfig, n: int) -> PlatoonConfig:
         asymmetries=asym,
         vehicle=template.vehicle,
         controller=template.controller,
-        ref_distance=template.ref_distance,
     )
 
 

@@ -14,11 +14,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .analysis import _prepared, build_state_space
-from .platoon import ConfigError, PlatoonConfig
+from .analysis import _oracle_realization, _prepared, open_loop
+from .platoon import ConfigError, PlatoonConfig, _band_product
 
 logger = logging.getLogger(__name__)
 
@@ -106,29 +107,34 @@ def dt_limit(cfg: PlatoonConfig) -> float | None:
     return min(limits, default=None)
 
 
-def _rk4_step(A, B, h, x, u0, u_half, u1):
-    """One classic 4th-order step of x' = A x + B u with u(t), u(t+h/2), u(t+h) given."""
-    k1 = A @ x + B * u0
-    k2 = A @ (x + 0.5 * h * k1) + B * u_half
-    k3 = A @ (x + 0.5 * h * k2) + B * u_half
-    k4 = A @ (x + h * k3) + B * u1
+def _rk4_step(ab, B, h, x, u0, u_half, u1):
+    """One classic 4th-order step of x' = A x + B u with u(t), u(t+h/2), u(t+h) given.
+
+    ``ab`` is A in the band storage of :func:`platoon._coupled_bands`: 3m
+    band rows, m of them above the diagonal.
+    """
+    A = partial(_band_product, ab, ab.shape[0] // 3)
+    k1 = A(x) + B * u0
+    k2 = A(x + 0.5 * h * k1) + B * u_half
+    k3 = A(x + 0.5 * h * k2) + B * u_half
+    k4 = A(x + h * k3) + B * u1
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _propagator(A, B, h, m):
-    """(T, G) with _rk4_step(A, B, h, x, *w) == T @ x + G @ w for w = (u0, u_half, u1).
+def _propagator(ab, B, h):
+    """(T, G) with _rk4_step(ab, B, h, x, *w) == T @ x + G @ w for w = (u0, u_half, u1).
 
     The step is linear in x and w, so each column is the step applied to one
     unit state or unit input.  A has lower bandwidth 2m-1 and upper bandwidth
-    m (m the open-loop order), and T is a quartic in A, so column j of T is
-    zero outside rows j-4m .. j+4(2m-1): columns W = 12m-3 apart never share
-    a row at any RK4 stage, and one step on the sum of every W-th unit vector
-    gives all of their columns at once (Curtis, Powell & Reid, 1974).  While
-    the probes stay finite, each only adds exact zeros to the products a
-    single unit vector would form, so T is bit-identical to the
-    one-column-at-a-time build.
+    m (m the open-loop order, a third of the band rows of ``ab``), and T is
+    a quartic in A, so column j of T is zero outside rows j-4m .. j+4(2m-1):
+    columns W = 12m-3 apart never share a row at any RK4 stage, and one step
+    on the sum of every W-th unit vector gives all of their columns at once
+    (Curtis, Powell & Reid, 1974).  While the probes stay finite, each only
+    adds exact zeros to the products a single unit vector would form, so T
+    is bit-identical to the one-column-at-a-time build.  T is stored dense.
     """
-    d = A.shape[0]
+    m, d = ab.shape[0] // 3, ab.shape[1]
     below, above = 4 * (2 * m - 1), 4 * m
     width = below + above + 1
     T = np.zeros((d, d))
@@ -136,13 +142,13 @@ def _propagator(A, B, h, m):
     probe = np.zeros(d)
     for g in range(min(width, d)):
         probe[g::width] = 1.0
-        cols = _rk4_step(A, B, h, probe, 0.0, 0.0, 0.0)
+        cols = _rk4_step(ab, B, h, probe, 0.0, 0.0, 0.0)
         probe[g::width] = 0.0
         for j in range(g, d, width):
             band = slice(max(j - above, 0), j + below + 1)
             T[band, j] = cols[band]
     for j, w in enumerate(np.eye(3)):
-        G[:, j] = _rk4_step(A, B, h, np.zeros(d), *w)
+        G[:, j] = _rk4_step(ab, B, h, np.zeros(d), *w)
     return T, G
 
 
@@ -151,22 +157,31 @@ def simulate(sc: SimScenario) -> TimeSeries:
 
     Each step is the RK4 step in closed form, x <- T x + G w with
     w = (u(t), u(t+h/2), u(t+h)); the propagator (T, G) is precomputed once
-    from the RK4 step itself, at the cost of at most 12m RK4 steps for
-    open-loop order m, so the integrator, its order and the dt contract are
-    those of the classic scheme.  The leader signal is sampled one chunk of
-    steps at a time.
+    from the RK4 step itself on the banded realization of
+    :func:`analysis._oracle_realization`, at the cost of at most 12m RK4
+    steps for open-loop order m, so the integrator, its order and the dt
+    contract are those of the classic scheme.  The positions are read from
+    the state as ``x.reshape(n - 1, m) @ c``, c the open loop's output row.
+    The leader signal is sampled one chunk of steps at a time.
 
     Raises
     ------
     ConfigError
-        When dt exceeds the admissible step (naming the required dt), the
-        integration diverges (a pole with both a fast real part and an
-        oscillation, at the edge of RK4's stability region that the step
-        limit does not cover),
+        When the d-by-d propagator T does not fit in memory (naming the
+        state dimension d), dt exceeds the admissible step (naming the
+        required dt), the integration diverges (a pole with both a fast
+        real part and an oscillation, at the edge of RK4's stability region
+        that the step limit does not cover),
         the output grid does not fit in memory (naming its rows and columns),
         the open loop is not strictly proper or a closed-loop block cannot be formed.
     """
     cfg = sc.cfg
+    d = (cfg.n - 1) * open_loop(cfg).den.degree
+    try:
+        np.empty((d, d))  # T, the one array quadratic in the state dimension
+    except (MemoryError, ValueError):  # numpy's ValueError: more bytes than an index can address
+        raise ConfigError(f"platoon of {cfg.n} vehicles: the {d} x {d} propagator of its state "
+                          "does not fit in memory; lower n") from None
     limit = dt_limit(cfg)
     if limit is not None and sc.dt > limit:
         raise ConfigError(f"dt={sc.dt} too large for the closed-loop dynamics; required dt <= {limit:.6g}")
@@ -181,26 +196,29 @@ def simulate(sc: SimScenario) -> TimeSeries:
             )
             t_end = t_cap
 
-    A, B, C = build_state_space(cfg)
+    ab, c = _oracle_realization.__wrapped__(cfg)  # not cached: the bands are needed only to build T
+    m, nn = c.size, cfg.n - 1
+    B = np.zeros(ab.shape[1])
+    B[m - 1] = cfg.gains[0]
     steps = int(round(t_end / sc.dt))
     h = sc.dt
     try:
-        out = np.empty((steps + 1, C.shape[0]))
+        out = np.empty((steps + 1, nn))
         times = h * np.arange(steps + 1)
     except (MemoryError, ValueError):  # numpy's ValueError: more bytes than an index can address
-        raise ConfigError(f"output grid of {steps + 1} x {C.shape[0]} values does not fit in memory; "
+        raise ConfigError(f"output grid of {steps + 1} x {nn} values does not fit in memory; "
                           "raise dt or lower t_end") from None
     u = sc.leader_signal.value
-    x = np.zeros(A.shape[0])
-    out[0] = C @ x
+    x = np.zeros(ab.shape[1])
+    out[0] = x.reshape(nn, m) @ c
     with np.errstate(over="ignore", invalid="ignore"):  # a divergence is reported below
-        T, G = _propagator(A, B, h, A.shape[0] // C.shape[0])
+        T, G = _propagator(ab, B, h)
         for start in range(0, steps, _CHUNK):
             t = times[start:min(start + _CHUNK, steps)]
             w = np.stack([u(t), u(t + 0.5 * h), u(t + h)], axis=1)
             for k, w_k in enumerate(w, start + 1):
                 x = T @ x + G @ w_k
-                out[k] = C @ x
+                out[k] = x.reshape(nn, m) @ c
     if not np.all(np.isfinite(x)):  # non-finite values persist, so the last state shows them
         raise ConfigError(f"integration diverged before t={times[-1]:g}: dt={h} is too large "
                           "for a fast closed-loop pole")

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from platoon_lab import PlatoonConfig, Polynomial, RationalTF, hinf_norm, poly_eval
-from platoon_lab.analysis import _STABLE_RE, _closed_loop_dens
+from platoon_lab import PlatoonConfig, Polynomial, RationalTF, build_laplacian, hinf_norm, open_loop, poly_eval
+from platoon_lab.analysis import _STABLE_RE, _closed_loop_dens, controllable_canonical
 from platoon_lab.blockpeak import _block_peak
 from platoon_lab.numerics import _as_poly, companion_roots
 
@@ -15,13 +15,12 @@ CONTROLLER = RationalTF(num=(3.0, 43.0, 110.0), den=(1.0, 2.9, 1.0))
 BAD_CONTROLLER = RationalTF(num=(-3.0, -43.0, -110.0), den=(1.0, 2.9, 1.0))
 
 
-def make_cfg(n, eps=0.5, mu=1.0, vehicle=VEHICLE, controller=CONTROLLER, ref_distance=1.0):
+def make_cfg(n, eps=0.5, mu=1.0, vehicle=VEHICLE, controller=CONTROLLER):
     """Homogeneous benchmark platoon with scalar gain and asymmetry."""
     gains = (float(mu),) * (n - 1)
     asym = (float(eps),) * (n - 1)
     return PlatoonConfig(n=n, gains=gains, asymmetries=asym,
-                         vehicle=vehicle, controller=controller,
-                         ref_distance=ref_distance)
+                         vehicle=vehicle, controller=controller)
 
 
 @pytest.fixture
@@ -84,9 +83,24 @@ def block_stable(tf):
     return tf.den.degree == 0 or all(r.real < _STABLE_RE for r in poly_roots(tf.den))
 
 
+def kron_state_space(cfg):
+    """Dense reference realization (A, B, C): I (x) A_m - R (x) B_m C_m assembled with Kronecker products.
+
+    The leader's position enters vehicle 2 with gain mu_2, and row i of C
+    reads vehicle i + 2's position.
+    """
+    a, Cm = controllable_canonical(open_loop(cfg))
+    nn, m = cfg.n - 1, Cm.size
+    Am = np.eye(m, k=1)
+    Am[-1] = a
+    Bm = np.eye(m)[-1]
+    R = build_laplacian(cfg)[1:, 1:]
+    B = np.zeros(nn * m)
+    B[:m] = cfg.gains[0] * Bm
+    return np.kron(np.eye(nn), Am) - np.kron(R, np.outer(Bm, Cm)), B, np.kron(np.eye(nn), Cm)
+
+
 def dense_reduced_eigs(cfg):
     """Independent oracle: dense general eigensolver on the reduced Laplacian."""
-    from platoon_lab import build_laplacian
-
     R = build_laplacian(cfg)[1:, 1:]
     return np.sort(np.linalg.eigvals(R).real)

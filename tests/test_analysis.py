@@ -10,7 +10,6 @@ from platoon_lab import (
     ConfigError,
     PlatoonConfig,
     RationalTF,
-    build_state_space,
     direct_response,
     frequency_series,
     gamma_sequence,
@@ -44,6 +43,7 @@ from conftest import (
     block_stable,
     closed_form_block_peak,
     grid_block_peak,
+    kron_state_space,
     make_block,
     make_cfg,
     rtf_eval,
@@ -52,7 +52,7 @@ from conftest import (
 
 def dense_response(cfg, omega):
     """Independent oracle: T(j*omega) from one dense solve on the dense realization."""
-    A, B, C = build_state_space(cfg)
+    A, B, C = kron_state_space(cfg)
     z = np.linalg.solve(1j * omega * np.eye(A.shape[0]) - A, B / cfg.gains[0])
     return complex(C[-1] @ z)
 
@@ -657,7 +657,7 @@ class TestHamiltonianOracle:
         expect = []
         for n in sizes:
             cfg = instantiate_family(template, n)
-            A, B, C = build_state_space(cfg)
+            A, B, C = kron_state_space(cfg)
             expect.append(hinf_hamiltonian(A, B / cfg.gains[0], C[-1]))
         assert np.allclose(got, expect, rtol=1e-12, atol=0)
         # the norm over all frequencies confirms the sweep's shape: gamma_N^(1/N)

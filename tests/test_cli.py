@@ -80,7 +80,6 @@ class TestConfigParsing:
         ({"asymmetries": [0.5, 10 ** 400]}, "asymmetries entries must be within the range of a double"),
         ({"vehicle": {"num": [10 ** 400], "den": [0, 0, 1]}},
          "vehicle: int too large to convert to float"),
-        ({"ref_distance": 10 ** 400}, "ref_distance must be a finite number"),
         ({"omega_band": [1e-3, 10 ** 400]}, "omega_band must be [lo, hi] with finite 0 < lo < hi"),
     ])
     def test_integer_beyond_double_range_exits_2(self, tmp_path, capsys, overrides, message):
@@ -126,6 +125,21 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err.count("config error") == 1
         assert f"platoon of {size} vehicles does not fit in memory; lower {field}" in err
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("step", ["--t-end", "0.02"], "platoon of 200000 vehicles: the 799996 x 799996 propagator"),  # 5.1 TB
+        ("identities", [], "platoon of 200000 vehicles: its 200000 x 200000 Laplacian"),  # 320 GB
+    ])
+    def test_quadratic_array_beyond_memory_exits_2(self, tmp_path, capsys, command, flags, message):
+        # both are refused before any eigensolve
+        path = write_doc(tmp_path, base_doc(n=200_000))
+        assert cli.main([command, "--config", path, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error") == 1 and message in err
+
+    def test_ref_distance_is_ignored(self):
+        # configs written for earlier versions may still carry the spacing
+        assert cli.parse_config(base_doc(ref_distance=10.0))[0] == cli.parse_config(base_doc())[0]
 
     def test_round_trip_identity(self):
         cfg, band, _ = cli.parse_config(base_doc(n=5, gains=[1, 2, 3, 4], asymmetries=0.25))
@@ -455,6 +469,16 @@ class TestNonFiniteResponse:
         assert cli.main(["harmonic", "--config", path, "--out", str(out)]) == 2
         assert "config error: closed-loop pole at the peak frequency" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_overflowing_product_freqresp_warns_once(self, tmp_path, caplog):
+        # the rows stay as computed (a known defect); numpy's warnings do not reach stderr
+        path, out = write_doc(tmp_path, base_doc(n=4000)), tmp_path / "out"
+        with caplog.at_level(logging.WARNING, logger="platoon_lab.analysis"):
+            assert cli.main(["freqresp", "--config", path, "--out", str(out)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert np.count_nonzero(np.isnan(rows).any(axis=1)) == 12
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == ["12 of 400 frequency response values are not finite; they are kept as computed"]
 
     def test_overflowing_product_gamma_exits_2(self, tmp_path, capsys):
         # log|T| is finite at n = 4000, but T itself exceeds double range

@@ -14,8 +14,7 @@ from platoon_lab import (
     SineSignal,
     StepSignal,
     TimeSeries,
-    build_laplacian,
-    build_state_space,
+    direct_response,
     dt_limit,
     open_loop,
     product_response,
@@ -23,34 +22,36 @@ from platoon_lab import (
     simulate,
     spectrum_report,
 )
-from platoon_lab.analysis import _prepared, controllable_canonical
+from platoon_lab.analysis import _oracle_realization, _prepared
+from platoon_lab.platoon import banded_matrix
 
-from conftest import BAD_CONTROLLER, CONTROLLER, VEHICLE, block_stable, make_block, make_cfg, poly_roots
+from conftest import (
+    BAD_CONTROLLER,
+    CONTROLLER,
+    VEHICLE,
+    block_stable,
+    kron_state_space,
+    make_block,
+    make_cfg,
+    poly_roots,
+)
 
 
 def realization_response(cfg, omega):
     """Leader-to-last-vehicle response of the realization, one dense solve."""
-    A, B, C = build_state_space(cfg)
+    A, B, C = kron_state_space(cfg)
     z = np.linalg.solve(1j * omega * np.eye(A.shape[0]) - A, B)
     return complex(C[-1] @ z)
 
 
-def kron_state_space(cfg):
-    """Reference realization: I (x) A_m - R (x) B_m C_m assembled with Kronecker products."""
-    a, Cm = controllable_canonical(open_loop(cfg))
-    nn, m = cfg.n - 1, Cm.size
-    Am = np.eye(m, k=1)
-    Am[-1] = a
-    Bm = np.eye(m)[-1]
-    R = build_laplacian(cfg)[1:, 1:]
-    B = np.zeros(nn * m)
-    B[:m] = cfg.gains[0] * Bm
-    return np.kron(np.eye(nn), Am) - np.kron(R, np.outer(Bm, Cm)), B, np.kron(np.eye(nn), Cm)
+def banded_realization(cfg):
+    """(ab, B): the library's banded A, uncached, and the leader input vector of :func:`kron_state_space`."""
+    return _oracle_realization.__wrapped__(cfg)[0], kron_state_space(cfg)[1]
 
 
 def reference_rk4(sc):
     """Independent oracle: the classic RK4 loop stepped one state vector at a time."""
-    A, B, C = build_state_space(sc.cfg)
+    A, B, C = kron_state_space(sc.cfg)
     h = sc.dt
     steps = int(round(sc.t_end / h))
     times = h * np.arange(steps + 1)
@@ -72,18 +73,18 @@ def reference_rk4(sc):
     return times, out
 
 
-def column_propagator(A, B, h):
+def column_propagator(ab, B, h):
     """Reference (T, G): the RK4 step applied to one unit state or unit input at a time."""
-    d = A.shape[0]
+    d = ab.shape[1]
     T = np.empty((d, d))
     G = np.empty((d, 3))
     unit = np.zeros(d)
     for j in range(d):
         unit[j] = 1.0
-        T[:, j] = sim._rk4_step(A, B, h, unit, 0.0, 0.0, 0.0)
+        T[:, j] = sim._rk4_step(ab, B, h, unit, 0.0, 0.0, 0.0)
         unit[j] = 0.0
     for j, w in enumerate(np.eye(3)):
-        G[:, j] = sim._rk4_step(A, B, h, np.zeros(d), *w)
+        G[:, j] = sim._rk4_step(ab, B, h, np.zeros(d), *w)
     return T, G
 
 
@@ -98,13 +99,14 @@ def f_string_csv(ts):
 
 
 class TestBuildStateSpace:
+    """The banded realization that the oracle and the simulation share."""
+
     def test_state_dimension(self):
         cfg = make_cfg(7)
-        A, B, C = build_state_space(cfg)
+        ab, c = _oracle_realization(cfg)
         order = cfg.vehicle.den.degree + cfg.controller.den.degree
-        assert A.shape == (6 * order, 6 * order)
-        assert B.shape == (6 * order,)
-        assert C.shape == (6, 6 * order)
+        assert ab.shape == (3 * order, 6 * order)  # lower bandwidth 2m - 1, upper m
+        assert c.shape == (order,)
 
     def test_equals_kron_assembly(self):
         # seeded random open loops of order 1 to 4; a numerator of degree
@@ -121,9 +123,10 @@ class TestBuildStateSpace:
                                            asymmetries=tuple(rng.uniform(0.0, 1.5, n - 1)),
                                            vehicle=vehicle, controller=unit))
         for cfg in cases:
-            for got, expect in zip(build_state_space(cfg), kron_state_space(cfg)):
-                # == treats -0.0 and 0.0 as equal; the sign of a zero may differ
-                assert got.shape == expect.shape and np.array_equal(got, expect)
+            ab, c = _oracle_realization(cfg)
+            got, expect = banded_matrix(ab, c.size), kron_state_space(cfg)[0]
+            # == treats -0.0 and 0.0 as equal; the sign of a zero may differ
+            assert got.shape == expect.shape and np.array_equal(got, expect)
 
     def test_frequency_response_matches_product_form(self):
         rng = np.random.default_rng(30)
@@ -137,8 +140,10 @@ class TestBuildStateSpace:
     def test_improper_open_loop_rejected(self):
         differentiator = RationalTF(num=(0.0, 1.0), den=(1.0,))
         cfg = make_cfg(3, vehicle=differentiator, controller=RationalTF((1.0,), (1.0,)))
-        with pytest.raises(ValueError, match="open loop must be proper"):
-            build_state_space(cfg)
+        for run in (lambda: simulate(SimScenario(cfg=cfg, leader_signal=StepSignal(1.0), t_end=1.0, dt=0.01)),
+                    lambda: direct_response(cfg, 1.0)):
+            with pytest.raises(ConfigError, match="open loop must be proper"):
+                run()
 
 
 class TestSignals:
@@ -251,24 +256,24 @@ class TestSimulate:
 
     def test_grouped_propagator_is_bitwise_column_build(self):
         # seeded random open loops of order m = 1..5, with the state dimension
-        # d both below and above the group width 12m - 3
+        # d both below and above the group width 12m - 3; at n = 2, d = m is
+        # below the lower bandwidth 2m - 1 for m >= 2
         rng = np.random.default_rng(16)
         unit = RationalTF((1.0,), (1.0,))
         cases = [make_cfg(30)]  # the README loop, m = 4: d = 116 against a width of 45
         for m in range(1, 6):
             width = 12 * m - 3
-            for n in (1 + (width - 1) // m, 2 + 2 * width // m):
+            for n in (2, 1 + (width - 1) // m, 2 + 2 * width // m):
                 vehicle = RationalTF(num=tuple(rng.uniform(-2.0, 2.0, m)),
                                      den=tuple(rng.uniform(-2.0, 2.0, m)) + (float(rng.uniform(0.5, 2.0)),))
                 cases.append(PlatoonConfig(n=n, gains=tuple(rng.uniform(0.3, 3.0, n - 1)),
                                            asymmetries=tuple(rng.uniform(0.0, 1.5, n - 1)),
                                            vehicle=vehicle, controller=unit))
         for cfg in cases:
-            A, B, C = build_state_space(cfg)
-            m = A.shape[0] // C.shape[0]
+            ab, B = banded_realization(cfg)
             for h in (0.01, 0.3):
-                T, G = sim._propagator(A, B, h, m)
-                T_ref, G_ref = column_propagator(A, B, h)
+                T, G = sim._propagator(ab, B, h)
+                T_ref, G_ref = column_propagator(ab, B, h)
                 assert T.tobytes() == T_ref.tobytes() and G.tobytes() == G_ref.tobytes()
 
     def test_propagator_probe_budget(self, monkeypatch):
@@ -281,9 +286,21 @@ class TestSimulate:
             return rk4_step(*args)
 
         monkeypatch.setattr(sim, "_rk4_step", spy)
-        A, B, C = build_state_space(make_cfg(100))  # m = 4, d = 396
-        sim._propagator(A, B, 0.01, A.shape[0] // C.shape[0])
+        sim._propagator(*banded_realization(make_cfg(100)), 0.01)  # m = 4, d = 396
         assert len(calls) <= 12 * 4 - 3 + 3
+
+    def test_propagator_is_the_one_quadratic_array(self):
+        # no dense A and no dense output map: the peak is T's 8 d^2 bytes and little more
+        cfg = make_cfg(400)
+        d = (cfg.n - 1) * 4
+        sc = SimScenario(cfg=cfg, leader_signal=StepSignal(1.0), t_end=0.01, dt=0.01)
+        tracemalloc.start()
+        try:
+            simulate(sc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * d ** 2
 
     def test_no_whole_horizon_work_arrays(self):
         # the output grid is the only allocation that grows with the horizon
@@ -349,7 +366,7 @@ class TestTimeSeries:
     def test_absolute_positions_subtract_spacing(self):
         cfg = make_cfg(3, eps=0.5)
         ts = simulate(SimScenario(cfg=cfg, leader_signal=StepSignal(1.0), t_end=1.0, dt=0.01))
-        absolute = ts.absolute_positions(cfg.ref_distance)
+        absolute = ts.absolute_positions(1.0)
         assert np.allclose(absolute[0], [-1.0, -2.0])
 
     def test_csv_header_and_rows(self, tmp_path):
