@@ -21,6 +21,7 @@ import dataclasses
 import json
 import logging
 import math
+import os
 import sys
 from contextlib import contextmanager
 
@@ -139,11 +140,17 @@ def config_to_dict(cfg: platoon.PlatoonConfig,
 
 @contextmanager
 def _output(out_path):
+    """stdout, or the file ``out_path``, which is deleted again if the command raises while writing it."""
     if out_path is None:
         yield sys.stdout
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        return
+    fh = open(out_path, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
             yield fh
+    except BaseException:
+        os.remove(out_path)
+        raise
 
 
 def _write_json(doc: dict, out_path) -> None:
@@ -212,10 +219,10 @@ def cmd_gamma(config_path: str, out_path=None, n_min: int = 5, n_max: int = 50,
 
 def cmd_step(config_path: str, out_path=None, t_end: float = 100.0, dt: float = 0.01) -> int:
     cfg, _, _ = load_config(config_path)
-    series = sim.simulate(sim.SimScenario(cfg=cfg, leader_signal=sim.StepSignal(1.0),
-                                          t_end=t_end, dt=dt))
-    with _output(out_path) as fh:
-        series.write_csv(fh)
+    _, blocks = sim.stream(sim.SimScenario(cfg=cfg, leader_signal=sim.StepSignal(1.0),
+                                           t_end=t_end, dt=dt))
+    with _output(out_path) as fh:  # rows are written as the integration reaches them
+        sim.write_csv(fh, blocks)
     return EXIT_OK
 
 
@@ -228,6 +235,9 @@ def cmd_identities(config_path: str) -> int:
                           "in memory; lower n") from None
     try:
         power_res, inverse_res = analysis.verify_eigen_identities(cfg)
+    except MemoryError:  # the n x n probe fits, the eigensolver's working set does not
+        raise ConfigError(f"platoon of {cfg.n} vehicles: its eigenvector identities do not fit "
+                          "in memory; lower n") from None
     except ValueError as exc:
         print(str(exc))
         return EXIT_IDENTITY

@@ -17,13 +17,15 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from scipy.linalg.blas import dgbmv
 
-from .analysis import _oracle_realization, _prepared, open_loop
+from .analysis import _oracle_realization, _prepared
 from .platoon import ConfigError, PlatoonConfig, _band_product
 
 logger = logging.getLogger(__name__)
 
-_CHUNK = 1024  # steps per block of leader-signal samples
+_BLOCK_BYTES = 2 ** 16  # state bytes per block of steps
+_ROWS_PER_FORMAT = 16  # CSV rows per % operation
 _RK4_REAL_BOUND = 2.785  # classic RK4 is stable on the real axis for h*lam in [-2.785, 0]
 
 
@@ -79,14 +81,21 @@ class TimeSeries:
         return self.positions - offsets[None, :]
 
     def write_csv(self, fh) -> None:
-        """CSV emission: header t,pos_2,...,pos_N at full double precision."""
-        n_veh = self.positions.shape[1]
-        fh.write("t," + ",".join(f"pos_{i + 2}" for i in range(n_veh)) + "\n")
-        # t is formatted apart: one format over every column, t included, raised
-        # peak RSS by 0.25 MB at n = 20 (C heap growth, not data held)
-        row_format = ",".join(["%.17g"] * n_veh) + "\n"
-        for t, row in zip(self.times, self.positions):  # one row at a time bounds memory
-            fh.write("%.17g," % t + row_format % tuple(row.tolist()))
+        write_csv(fh, [(self.times, self.positions)])
+
+
+def write_csv(fh, blocks) -> None:
+    """CSV of (times, positions) row blocks: header t,pos_2,...,pos_N, values at full double precision."""
+    row = None
+    for times, positions in blocks:
+        if row is None:
+            n_veh = positions.shape[1]
+            fh.write("t," + ",".join(f"pos_{i + 2}" for i in range(n_veh)) + "\n")
+            row = "%.17g," + ",".join(["%.17g"] * n_veh) + "\n"
+        for i in range(0, len(times), _ROWS_PER_FORMAT):
+            r = slice(i, i + _ROWS_PER_FORMAT)
+            values = np.column_stack((times[r], positions[r]))
+            fh.write(row * len(values) % tuple(values.ravel().tolist()))
 
 
 def dt_limit(cfg: PlatoonConfig) -> float | None:
@@ -95,8 +104,7 @@ def dt_limit(cfg: PlatoonConfig) -> float | None:
     It is the smaller of one twentieth of the fastest oscillation period,
     from the largest |imaginary part| of a pole, and RK4's real-axis
     stability bound h*|lam| <= 2.785, from the most negative real part; None
-    when no pole oscillates or lies in the left half-plane (no constraint
-    from these rules).
+    when no pole oscillates or lies in the left half-plane.
     """
     prep = _prepared(cfg)
     limits = []
@@ -121,105 +129,101 @@ def _rk4_step(ab, B, h, x, u0, u_half, u1):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a divergence is reported by stream
 def _propagator(ab, B, h):
-    """(T, G) with _rk4_step(ab, B, h, x, *w) == T @ x + G @ w for w = (u0, u_half, u1).
+    """(TB, G) with _rk4_step(ab, B, h, x, *w) == T @ x + G @ w for w = (u0, u_half, u1).
 
-    The step is linear in x and w, so each column is the step applied to one
-    unit state or unit input.  A has lower bandwidth 2m-1 and upper bandwidth
-    m (m the open-loop order, a third of the band rows of ``ab``), and T is
-    a quartic in A, so column j of T is zero outside rows j-4m .. j+4(2m-1):
-    columns W = 12m-3 apart never share a row at any RK4 stage, and one step
-    on the sum of every W-th unit vector gives all of their columns at once
-    (Curtis, Powell & Reid, 1974).  While the probes stay finite, each only
-    adds exact zeros to the products a single unit vector would form, so T
-    is bit-identical to the one-column-at-a-time build.  T is stored dense.
+    A has lower bandwidth 2m-1 and upper bandwidth m (m = len(ab) / 3), and
+    T is a quartic in A, so column j of T is zero outside rows j-4m ..
+    j+4(2m-1): TB is T in LAPACK band storage, T[i, j] = TB[4m + i - j, j].
+    Columns W = 12m-3 apart never share a row at any RK4 stage, so one step
+    on the sum of every W-th unit vector gives all of their columns at once,
+    bit for bit the one-column build (Curtis, Powell & Reid, 1974), as
+    consecutive stretches of W rows.
     """
     m, d = ab.shape[0] // 3, ab.shape[1]
-    below, above = 4 * (2 * m - 1), 4 * m
-    width = below + above + 1
-    T = np.zeros((d, d))
-    G = np.empty((d, 3))
-    probe = np.zeros(d)
+    above, width = 4 * m, 12 * m - 3
+    TB, probe = np.zeros((width, d)), np.zeros(d)
+    cols = np.zeros(d + width)  # row i of a step at index above + i
     for g in range(min(width, d)):
         probe[g::width] = 1.0
-        cols = _rk4_step(ab, B, h, probe, 0.0, 0.0, 0.0)
+        cols[above:above + d] = _rk4_step(ab, B, h, probe, 0.0, 0.0, 0.0)
         probe[g::width] = 0.0
-        for j in range(g, d, width):
-            band = slice(max(j - above, 0), j + below + 1)
-            T[band, j] = cols[band]
-    for j, w in enumerate(np.eye(3)):
-        G[:, j] = _rk4_step(ab, B, h, np.zeros(d), *w)
-    return T, G
+        k = len(range(g, d, width))
+        TB[:, g::width] = cols[g:g + k * width].reshape(k, width).T
+    return TB, np.stack([_rk4_step(ab, B, h, np.zeros(d), *w) for w in np.eye(3)], axis=1)
 
 
-def simulate(sc: SimScenario) -> TimeSeries:
-    """Fixed-step classic 4th-order integration from zero deviation state.
+def stream(sc: SimScenario):
+    """(rows, blocks): fixed-step classic RK4 from zero deviation state.
 
-    Each step is the RK4 step in closed form, x <- T x + G w with
-    w = (u(t), u(t+h/2), u(t+h)); the propagator (T, G) is precomputed once
-    from the RK4 step itself on the banded realization of
-    :func:`analysis._oracle_realization`, at the cost of at most 12m RK4
-    steps for open-loop order m, so the integrator, its order and the dt
-    contract are those of the classic scheme.  The positions are read from
-    the state as ``x.reshape(n - 1, m) @ c``, c the open loop's output row.
-    The leader signal is sampled one chunk of steps at a time.
+    The checks run before this returns; ``blocks`` then yields (times,
+    positions) row blocks, row 0 first.  Each step is x <- T x + G w,
+    w = (u(t), u(t+h/2), u(t+h)): one ``dgbmv`` with the banded T of
+    :func:`_propagator` into a row of ``w @ G.T``.  The leader signal is
+    sampled and the positions ``X.reshape(-1, m) @ c`` (c the open loop's
+    output row) are read once per block of about 64 KiB of states, so
+    memory is linear in the state.
 
-    Raises
-    ------
-    ConfigError
-        When the d-by-d propagator T does not fit in memory (naming the
-        state dimension d), dt exceeds the admissible step (naming the
-        required dt), the integration diverges (a pole with both a fast
-        real part and an oscillation, at the edge of RK4's stability region
-        that the step limit does not cover),
-        the output grid does not fit in memory (naming its rows and columns),
-        the open loop is not strictly proper or a closed-loop block cannot be formed.
+    Raises ConfigError when dt exceeds the admissible step (naming it),
+    ``simulate``'s output grid would not fit in memory (naming its shape),
+    the open loop is not strictly proper or a block cannot be formed;
+    ``blocks`` raises it when the integration diverges.
     """
-    cfg = sc.cfg
-    d = (cfg.n - 1) * open_loop(cfg).den.degree
-    try:
-        np.empty((d, d))  # T, the one array quadratic in the state dimension
-    except (MemoryError, ValueError):  # numpy's ValueError: more bytes than an index can address
-        raise ConfigError(f"platoon of {cfg.n} vehicles: the {d} x {d} propagator of its state "
-                          "does not fit in memory; lower n") from None
+    cfg, h = sc.cfg, sc.dt
     limit = dt_limit(cfg)
-    if limit is not None and sc.dt > limit:
-        raise ConfigError(f"dt={sc.dt} too large for the closed-loop dynamics; required dt <= {limit:.6g}")
+    if limit is not None and h > limit:
+        raise ConfigError(f"dt={h} too large for the closed-loop dynamics; required dt <= {limit:.6g}")
 
     prep = _prepared(cfg)
     t_end = sc.t_end
     if prep.re_max > 0:
         t_cap = 14.0 / prep.re_max  # amplitude growth capped near e^14
         if t_cap < t_end:
-            logger.warning(
-                "unstable closed-loop blocks: capping t_end from %g to %g", t_end, t_cap
-            )
+            logger.warning("unstable closed-loop blocks: capping t_end from %g to %g", t_end, t_cap)
             t_end = t_cap
 
-    ab, c = _oracle_realization.__wrapped__(cfg)  # not cached: the bands are needed only to build T
+    ab, c = _oracle_realization.__wrapped__(cfg)  # uncached: needed only to build T
     m, nn = c.size, cfg.n - 1
     B = np.zeros(ab.shape[1])
     B[m - 1] = cfg.gains[0]
-    steps = int(round(t_end / sc.dt))
-    h = sc.dt
-    try:
-        out = np.empty((steps + 1, nn))
-        times = h * np.arange(steps + 1)
+    steps = int(round(t_end / h))
+    try:  # reserves address space only: it bounds the horizon
+        np.empty((steps + 1, nn))
     except (MemoryError, ValueError):  # numpy's ValueError: more bytes than an index can address
         raise ConfigError(f"output grid of {steps + 1} x {nn} values does not fit in memory; "
                           "raise dt or lower t_end") from None
+
     u = sc.leader_signal.value
-    x = np.zeros(ab.shape[1])
-    out[0] = x.reshape(nn, m) @ c
-    with np.errstate(over="ignore", invalid="ignore"):  # a divergence is reported below
-        T, G = _propagator(ab, B, h)
-        for start in range(0, steps, _CHUNK):
-            t = times[start:min(start + _CHUNK, steps)]
-            w = np.stack([u(t), u(t + 0.5 * h), u(t + h)], axis=1)
-            for k, w_k in enumerate(w, start + 1):
-                x = T @ x + G @ w_k
-                out[k] = x.reshape(nn, m) @ c
-    if not np.all(np.isfinite(x)):  # non-finite values persist, so the last state shows them
-        raise ConfigError(f"integration diverged before t={times[-1]:g}: dt={h} is too large "
-                          "for a fast closed-loop pole")
-    return TimeSeries(times=times, positions=out)
+
+    def blocks():
+        pad = ((0, 0), (0, m * max(12 - nn, 0)))  # zero vehicles: dgbmv needs 12m-3 rows
+        TB, G = map(np.pad, _propagator(ab, B, h), (pad, pad[::-1]))
+        d = TB.shape[1]
+        rows, x = max(1, _BLOCK_BYTES // (8 * d)), np.zeros(d)
+        yield np.zeros(1), (x.reshape(-1, m) @ c)[None, :nn]
+        for start in range(0, steps, rows):
+            k = np.arange(start, min(start + rows, steps))
+            t = h * k
+            with np.errstate(over="ignore", invalid="ignore"):  # a divergence is reported below
+                X = np.stack([u(t), u(t + 0.5 * h), u(t + h)], axis=1) @ G.T  # GW, then the states
+                for y in X:
+                    x = dgbmv(d, d, 8 * m - 4, 4 * m, 1.0, TB, x, beta=1.0, y=y, overwrite_y=1)
+                positions = (X.reshape(-1, m) @ c).reshape(len(t), -1)[:, :nn]
+            if not np.all(np.isfinite(x)):  # non-finite values persist, so the last state shows them
+                raise ConfigError(f"integration diverged before t={h * (k[-1] + 1):g}: dt={h} is too large "
+                                  "for a fast closed-loop pole")
+            yield h * (k + 1), positions
+
+    return steps + 1, blocks()
+
+
+def simulate(sc: SimScenario) -> TimeSeries:
+    """The whole output grid of :func:`stream`, with its ConfigErrors."""
+    rows, blocks = stream(sc)
+    times, positions = np.empty(rows), np.empty((rows, sc.cfg.n - 1))
+    k = 0
+    for t, x in blocks:
+        times[k:k + len(t)], positions[k:k + len(t)] = t, x
+        k += len(t)
+    return TimeSeries(times=times, positions=positions)

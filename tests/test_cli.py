@@ -1,10 +1,11 @@
+import io
 import json
 import logging
 
 import numpy as np
 import pytest
 
-from platoon_lab import cli, platoon
+from platoon_lab import analysis, cli, platoon, sim
 from platoon_lab.analysis import _prepared, direct_response
 
 from conftest import make_cfg
@@ -115,7 +116,7 @@ class TestConfigParsing:
         10 ** 12,  # 7.3 TiB of gains
         10 ** 20,  # beyond numpy's size limit
     ])
-    @pytest.mark.parametrize("command, field", [("spectrum", "n"), ("gamma", "n-max")])
+    @pytest.mark.parametrize("command, field", [("spectrum", "n"), ("gamma", "n-max"), ("step", "n")])
     def test_oversized_platoon_exits_2(self, tmp_path, capsys, size, command, field):
         if field == "n":
             args = ["--config", write_doc(tmp_path, base_doc(n=size))]
@@ -126,16 +127,13 @@ class TestConfigParsing:
         assert err.count("config error") == 1
         assert f"platoon of {size} vehicles does not fit in memory; lower {field}" in err
 
-    @pytest.mark.parametrize("command, flags, message", [
-        ("step", ["--t-end", "0.02"], "platoon of 200000 vehicles: the 799996 x 799996 propagator"),  # 5.1 TB
-        ("identities", [], "platoon of 200000 vehicles: its 200000 x 200000 Laplacian"),  # 320 GB
-    ])
-    def test_quadratic_array_beyond_memory_exits_2(self, tmp_path, capsys, command, flags, message):
-        # both are refused before any eigensolve
+    def test_quadratic_array_beyond_memory_exits_2(self, tmp_path, capsys):
+        # the 320 GB Laplacian is refused before any eigensolve
         path = write_doc(tmp_path, base_doc(n=200_000))
-        assert cli.main([command, "--config", path, *flags]) == 2
+        assert cli.main(["identities", "--config", path]) == 2
         err = capsys.readouterr().err
-        assert err.count("config error") == 1 and message in err
+        assert err.count("config error") == 1
+        assert "platoon of 200000 vehicles: its 200000 x 200000 Laplacian" in err
 
     def test_ref_distance_is_ignored(self):
         # configs written for earlier versions may still carry the spacing
@@ -333,6 +331,52 @@ class TestCmdStep:
         assert cli.main(["step", "--config", path, "--out", str(out), "--t-end", "0.1", "--dt", required]) == 0
         assert np.all(np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)))
 
+    def test_streamed_csv_equals_simulate_and_write_csv(self, tmp_path, monkeypatch):
+        # n = 30 and 2500 steps: several blocks of steps, and blocks that are
+        # not a multiple of the rows per format operation
+        doc = base_doc(n=30)
+        path, out = write_doc(tmp_path, doc), tmp_path / "step.csv"
+        writes = []
+        write_csv = sim.write_csv
+
+        def spy(fh, blocks):
+            writes.append(None)
+            return write_csv(fh, blocks)
+
+        monkeypatch.setattr(sim, "write_csv", spy)
+        assert cli.cmd_step(path, str(out), t_end=25.0, dt=0.01) == 0
+        ts = sim.simulate(sim.SimScenario(cfg=cli.parse_config(doc)[0], leader_signal=sim.StepSignal(1.0),
+                                          t_end=25.0, dt=0.01))
+        fh = io.StringIO()
+        ts.write_csv(fh)
+        assert len(writes) == 2  # the stream and the whole series share one row formatter
+        assert out.read_text() == fh.getvalue() and len(ts.times) == 2501
+
+    def test_divergence_mid_stream_leaves_no_file(self, tmp_path, capsys):
+        # the 1e301 numerator passes every check made before the first row is
+        # written, and the first block of steps overflows
+        doc = base_doc(n=6, vehicle={"num": [1e301], "den": [1, 1]}, controller=UNIT)
+        path, out = write_doc(tmp_path, doc), tmp_path / "step.csv"
+        out.write_text("an earlier result\n")
+        assert cli.main(["step", "--config", path, "--out", str(out)]) == 2
+        assert "integration diverged" in capsys.readouterr().err and not out.exists()
+        assert cli.main(["step", "--config", path]) == 2
+        captured = capsys.readouterr()  # rows already printed to stdout stay there
+        assert captured.out == "t,pos_2,pos_3,pos_4,pos_5,pos_6\n0,0,0,0,0,0\n"
+        assert "integration diverged" in captured.err
+
+    def test_output_file_is_deleted_when_the_command_raises(self, tmp_path):
+        out = tmp_path / "out.csv"
+        with pytest.raises(KeyError):
+            with cli._output(str(out)) as fh:
+                fh.write("partial row")
+                raise KeyError("failed mid-write")
+        assert not out.exists()
+        missing = tmp_path / "no-such-dir" / "out.csv"  # open fails: nothing to delete
+        with pytest.raises(FileNotFoundError):
+            with cli._output(str(missing)):
+                pass
+
 
 UNIT = {"num": [1], "den": [1]}
 LOOP_COMMANDS = ("harmonic", "freqresp", "gamma", "step")
@@ -500,6 +544,18 @@ class TestCmdIdentities:
         path = write_doc(tmp_path, base_doc(n=5, asymmetries=0.0))
         assert cli.cmd_identities(path) == 4
         assert "simple eigenvalues" in capsys.readouterr().out
+
+    def test_working_set_beyond_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the n x n probe fits, but the identities' own arrays do not
+        def out_of_memory(cfg):
+            raise MemoryError
+
+        monkeypatch.setattr(analysis, "verify_eigen_identities", out_of_memory)
+        path = write_doc(tmp_path, base_doc(n=8))
+        assert cli.main(["identities", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("config error") == 1
+        assert "platoon of 8 vehicles: its eigenvector identities do not fit in memory; lower n" in captured.err
 
 
 FOUR_COMMANDS = (

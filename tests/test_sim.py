@@ -230,7 +230,7 @@ class TestSimulate:
         assert np.array_equal(two.positions, 2.0 * one.positions)
 
     @pytest.mark.parametrize("t_end, rows, sizes", [
-        # 2500 steps span three leader-signal chunks, the last one partial
+        # 2500 steps span several blocks of steps, the last one partial
         pytest.param(12.5, 2501, (2, 9), id="12.5-2501"),
         pytest.param(0.02, 5, (2, 9), id="0.02-5"),
         # d = 4(n-1) >= 112 exceeds the build's group width 45, so each
@@ -271,9 +271,12 @@ class TestSimulate:
                                            vehicle=vehicle, controller=unit))
         for cfg in cases:
             ab, B = banded_realization(cfg)
+            m = ab.shape[0] // 3
             for h in (0.01, 0.3):
-                T, G = sim._propagator(ab, B, h)
+                TB, G = sim._propagator(ab, B, h)
                 T_ref, G_ref = column_propagator(ab, B, h)
+                assert TB.shape == (12 * m - 3, ab.shape[1])  # band storage, 4m rows above the diagonal
+                T = banded_matrix(TB, 4 * m)
                 assert T.tobytes() == T_ref.tobytes() and G.tobytes() == G_ref.tobytes()
 
     def test_propagator_probe_budget(self, monkeypatch):
@@ -289,18 +292,24 @@ class TestSimulate:
         sim._propagator(*banded_realization(make_cfg(100)), 0.01)  # m = 4, d = 396
         assert len(calls) <= 12 * 4 - 3 + 3
 
-    def test_propagator_is_the_one_quadratic_array(self):
-        # no dense A and no dense output map: the peak is T's 8 d^2 bytes and little more
-        cfg = make_cfg(400)
-        d = (cfg.n - 1) * 4
-        sc = SimScenario(cfg=cfg, leader_signal=StepSignal(1.0), t_end=0.01, dt=0.01)
+    def test_stream_memory_is_linear_in_the_state(self):
+        # d = 3996 over 10^4 steps: a dense T alone would take 128 MB and the
+        # output grid 80 MB; the checks' grid probe only reserves address
+        # space and runs before the measure
+        sc = SimScenario(cfg=make_cfg(1000), leader_signal=StepSignal(1.0), t_end=100.0, dt=0.01)
+        rows, blocks = sim.stream(sc)
         tracemalloc.start()
         try:
-            simulate(sc)
+            count = sum(len(t) for t, _ in blocks)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * 8 * d ** 2
+        assert count == rows == 10_001 and peak < 16 * 2 ** 20
+
+    def test_checks_run_before_the_first_row(self):
+        sc = SimScenario(cfg=make_cfg(5), leader_signal=StepSignal(1.0), t_end=10.0, dt=1.0)
+        with pytest.raises(ConfigError, match="required dt"):
+            sim.stream(sc)  # not iterated
 
     def test_no_whole_horizon_work_arrays(self):
         # the output grid is the only allocation that grows with the horizon
