@@ -18,8 +18,23 @@ def _ratio_at(num, den, w: np.ndarray) -> np.ndarray:
     low, k = w <= 1.0, len(num) - len(den)
     s, u = 1j * w[low], 1 / (1j * w[~low])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # the caller checks finiteness
-        out[low] = np.polyval(num[::-1], s) / np.polyval(den[::-1], s)
-        out[~low] = np.polyval(num, u) / np.polyval(den, u) * w[~low] ** float(k) * 1j ** k
+        out[low] = _quotient(np.polyval(num[::-1], s), np.polyval(den[::-1], s))
+        out[~low] = _quotient(np.polyval(num, u), np.polyval(den, u)) * w[~low] ** float(k) * 1j ** k
+    return out
+
+
+def _quotient(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``p / q`` by Smith's method with true divisions, NaN where q is 0.
+
+    numpy's complex quotient multiplies by a rounded reciprocal, so that a real lam/lam can come
+    out as 1 - 2**-53; here a real quotient is one real division, and equal gains stay equal.
+    """
+    flip = np.abs(q.imag) > np.abs(q.real)  # then p/q = (-jp)/(-jq), and |Re(-jq)| > |Im(-jq)|
+    p, q = np.where(flip, -1j * p, p), np.where(flip, -1j * q, q)
+    t = q.imag / q.real
+    d = q.real + q.imag * t
+    out = np.empty(p.shape, dtype=complex)
+    out.real, out.imag = (p.real + p.imag * t) / d, (p.imag - p.real * t) / d
     return out
 
 

@@ -180,6 +180,51 @@ def laplacian_bands(cfg: PlatoonConfig) -> tuple[np.ndarray, np.ndarray, np.ndar
     return -mu[1:], diag, sup
 
 
+def _toeplitz_corner_eigenvalues(sub, diag, sup, prod) -> np.ndarray | None:
+    """Ascending eigenvalues of uniform bands in O(m), or None when the bands are not uniform.
+
+    Uniform means m = diag.size >= 2, one product sub*sup = b**2 > 0, one
+    value a on ``diag[:-1]`` and kappa = (a - diag[-1]) / b in [0, 1]: a
+    platoon with one gain and one asymmetry eps <= 1 (kappa = sqrt(eps)).
+    The symmetrized matrix is then tridiagonal Toeplitz (a, -b) except for
+    its last diagonal entry a - kappa*b.  The vector sin(j*theta) satisfies
+    every row but the last with the eigenvalue a - 2b cos(theta); the last
+    row holds where sin((m+1)theta) = kappa sin(m*theta), that is where
+    h_k(theta) = (m+1)theta - k*pi + atan2(kappa sin theta, 1 - kappa cos theta)
+    vanishes for some k = 1..m.  As h_k' >= m + 1/2, h_k has exactly one root
+    in ((k-1)pi/(m+1), k*pi/(m+1)], which Newton's method, started at the
+    right end and clipped to that bracket, reaches in two to five steps
+    (one at kappa = 0).  The eigenvalue is taken in the form
+    (a - 2b) + 4b sin(theta/2)**2, which does not cancel at the small end.
+    """
+    m = diag.size
+    if m < 2 or not prod[0] > 0.0 or np.any(prod != prod[0]) or np.any(diag[:-1] != diag[0]):
+        return None
+    a, b = float(diag[0]), math.sqrt(prod[0])
+    kappa = (a - float(diag[-1])) / b
+    if not 0.0 <= kappa <= 1.0:
+        return None
+    k = np.arange(1.0, m + 1.0)
+    hi = k * (math.pi / (m + 1))
+    lo = hi - math.pi / (m + 1)
+    theta = hi
+    for _ in range(40):
+        s = np.sin(0.5 * theta) ** 2  # 1 - kappa cos(theta) = (1 - kappa) + 2 kappa s, exact at kappa = 1
+        # the atan2 as the phase of a complex log: np.arctan2 pages in 64-128 KiB of code no other path runs
+        psi = np.log(((1.0 - kappa) + 2.0 * kappa * s) + 1j * (kappa * np.sin(theta))).imag
+        h = (m + 1) * theta - k * math.pi + psi
+        dh = (m + 1) + kappa * ((1.0 - kappa) - 2.0 * s) / ((1.0 - kappa) ** 2 + 4.0 * kappa * s)
+        prev, theta = theta, np.clip(theta - h / dh, lo, hi)
+        if np.all(np.abs(theta - prev) <= 2.0 ** -50 * prev):
+            break
+    # A row that sums to zero with negative off-diagonals has a = u + v, so
+    # a - 2b = (sqrt(u) - sqrt(v))**2 = (u - v)**2 / (a + 2b), with no
+    # cancellation as v approaches u (eps approaching 1).
+    u, v = -float(sub[0]), -float(sup[0])
+    gap = (u - v) * ((u - v) / (a + 2.0 * b)) if u > 0.0 and a == u + v else a - 2.0 * b
+    return gap + (4.0 * b) * np.sin(0.5 * theta) ** 2
+
+
 def spectrum(sub, diag, sup) -> SpectrumReport:
     """All eigenvalues of a tridiagonal reduced Laplacian, sorted ascending.
 
@@ -187,9 +232,12 @@ def spectrum(sub, diag, sup) -> SpectrumReport:
     diagonal similarity with ratios d_{k+1}/d_k = sqrt(sub/super) into the
     symmetric tridiagonal matrix with off-diagonal sqrt(sub*sup); a zero
     superdiagonal entry (zero asymmetry) gives a zero off-diagonal, which
-    decouples the rows above from the rows below.  One call to a standard
-    implicit-shift tridiagonal eigensolver gives the eigenvalues, ascending;
-    its array is the report's, made read-only.
+    decouples the rows above from the rows below.  Uniform bands (one gain,
+    one asymmetry eps in (0, 1], at least two rows) have their eigenvalues
+    in O(m) from the phase equation of :func:`_toeplitz_corner_eigenvalues`;
+    every other matrix goes to a standard implicit-shift tridiagonal
+    eigensolver, O(m**2).  Either array, ascending, is the report's, made
+    read-only.
 
     Raises
     ------
@@ -210,7 +258,9 @@ def spectrum(sub, diag, sup) -> SpectrumReport:
     if not np.all(np.isfinite(prod)) or np.any((sup != 0.0) & (prod <= 0)):
         raise ConfigError("off-diagonal sign pattern is not symmetrizable: sub*sup must be "
                           "finite, and > 0 where sup != 0")
-    eigs = eigh_tridiagonal(diag, np.sqrt(prod), eigvals_only=True)
+    eigs = _toeplitz_corner_eigenvalues(sub, diag, sup, prod)
+    if eigs is None:
+        eigs = eigh_tridiagonal(diag, np.sqrt(prod), eigvals_only=True)
     eigs.flags.writeable = False
     return SpectrumReport(
         eigenvalues=eigs,
@@ -245,7 +295,7 @@ def spectrum_report(cfg: PlatoonConfig) -> SpectrumReport:
     """Spectrum of the reduced Laplacian with the asymmetry bound attached.
 
     Cached per config, so every command on one config in one process pays
-    one eigensolve; the min-gain warning of :func:`fiedler_lower_bound` is
+    one spectrum; the min-gain warning of :func:`fiedler_lower_bound` is
     logged on a cache miss only.
     """
     return replace(spectrum(*laplacian_bands(cfg)), fiedler_lower=fiedler_lower_bound(cfg))

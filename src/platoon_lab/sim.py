@@ -208,7 +208,8 @@ def stream(sc: SimScenario):
             with np.errstate(over="ignore", invalid="ignore"):  # a divergence is reported below
                 X = np.stack([u(t), u(t + 0.5 * h), u(t + h)], axis=1) @ G.T  # GW, then the states
                 for y in X:
-                    x = dgbmv(d, d, 8 * m - 4, 4 * m, 1.0, TB, x, beta=1.0, y=y, overwrite_y=1)
+                    # positional incx, offx, beta, y, incy, offy, trans, overwrite_y: keywords cost 1-3 us a call
+                    x = dgbmv(d, d, 8 * m - 4, 4 * m, 1.0, TB, x, 1, 0, 1.0, y, 1, 0, 0, 1)
                 positions = (X.reshape(-1, m) @ c).reshape(len(t), -1)[:, :nn]
             if not np.all(np.isfinite(x)):  # non-finite values persist, so the last state shows them
                 raise ConfigError(f"integration diverged before t={h * (k[-1] + 1):g}: dt={h} is too large "

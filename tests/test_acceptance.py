@@ -28,7 +28,7 @@ from platoon_lab import (
 )
 from platoon_lab.analysis import TEST_INCONCLUSIVE
 
-from conftest import CONTROLLER, VEHICLE, block_stable, make_block, make_cfg, rtf_eval
+from conftest import CONTROLLER, VEHICLE, block_stable, dense_reduced_eigs, make_block, make_cfg, rtf_eval
 
 
 def report(num: int, desc: str, ok: bool, detail: str = "") -> bool:
@@ -62,18 +62,24 @@ def test_criterion_1_uniform_bound_certification():
 
 
 def test_criterion_2_closedform_cross_oracle():
-    worst = 0.0
+    worst = worst_dense = 0.0
     band_ok = True
     for eps in (0.1, 0.25, 0.5, 0.9):
         lo, hi = (1 - math.sqrt(eps)) ** 2, (1 + math.sqrt(eps)) ** 2
         for n in range(3, 41):
             lam_cf = closedform_eigenvalues(n, eps)
-            rep = spectrum_report(make_cfg(n, eps=eps))
+            cfg = make_cfg(n, eps=eps)
+            rep = spectrum_report(cfg)
             worst = max(worst, float(np.max(np.abs(lam_cf - np.asarray(rep.eigenvalues)))))
             band_ok &= bool(np.all(lam_cf >= lo) and np.all(lam_cf <= hi))
-    ok = worst <= 1e-8 and band_ok
+            # The dense general solver shares no code with either phase equation.  It loses
+            # digits with the symmetrizing similarity's condition eps**(-(n - 2)/2), so it
+            # checks the sizes where that stays below 1e6.
+            if eps ** (-(n - 2) / 2) <= 1e6:
+                worst_dense = max(worst_dense, float(np.max(np.abs(dense_reduced_eigs(cfg) - rep.eigenvalues))))
+    ok = worst <= 1e-8 and worst_dense <= 1e-8 and band_ok
     assert report(2, "closed-form eigenvalues match the spectral solver", ok,
-                  f"worst elementwise diff={worst:.2e}, band_ok={band_ok}")
+                  f"worst elementwise diff={worst:.2e}, dense={worst_dense:.2e}, band_ok={band_ok}")
 
 
 def test_criterion_3_product_direct_equivalence():

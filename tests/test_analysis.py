@@ -34,6 +34,7 @@ from platoon_lab.analysis import (
     _prepared,
     write_freq_csv,
 )
+from platoon_lab.blockpeak import _quotient, _ratio_at
 from platoon_lab.platoon import _family_log_gains
 
 from conftest import (
@@ -374,6 +375,22 @@ class TestBlockPeak:
             cfg = make_cfg(20, eps=eps)
             assert harmonic_test(cfg).hinf_gamma_fiedler > 1.0
             assert zeta_min(cfg) > 1.0
+
+    def test_quotient_is_pythons_complex_division(self):
+        rng = np.random.default_rng(21)
+        p = rng.normal(size=60) + 1j * rng.normal(size=60)
+        q = rng.normal(size=60) + 1j * rng.normal(size=60)
+        q[::3] = q[::3].real  # real divisors, and purely imaginary ones
+        q[1::3] = 1j * q[1::3].imag
+        assert np.array_equal(_quotient(p, q), [complex(a) / complex(b) for a, b in zip(p, q)])
+        with np.errstate(invalid="ignore"):  # as in _ratio_at, whose callers check finiteness
+            assert np.isnan(_quotient(np.array([1 + 1j]), np.array([0j]))).all()
+
+    def test_unit_dc_gain_is_exactly_one(self):
+        # the correctly rounded Fiedler value at eps = 1, n = 10, for which numpy's complex
+        # quotient lam/lam gives 1 - 2**-53
+        lam = 0.027277393194555254
+        assert _ratio_at(np.array([lam]), np.array([lam, 1.0]), np.array([0.0]))[0] == 1.0
 
 
 class TestPublicApi:

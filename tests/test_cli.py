@@ -600,15 +600,19 @@ class TestDeterminism:
 class TestOneSpectrumPerConfig:
     def test_four_commands_solve_the_spectrum_once(self, tmp_path, monkeypatch):
         calls = []
-        real = platoon.eigh_tridiagonal
+        real = platoon.spectrum
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(platoon, "eigh_tridiagonal", counting)
-        path = write_doc(tmp_path, base_doc(n=12, asymmetries=0.37))
-        clear_caches()
-        for command, flags in FOUR_COMMANDS:
-            assert cli.main([command, "--config", path, "--out", str(tmp_path / command), *flags]) == 0
-        assert len(calls) == 1
+        monkeypatch.setattr(platoon, "spectrum", counting)
+        # uniform bands take the phase-equation route, array gains the tridiagonal eigensolver;
+        # gamma sweeps scalar templates only
+        for gains, commands in ((1.0, FOUR_COMMANDS), ([1.0 + 0.1 * i for i in range(11)], FOUR_COMMANDS[:3])):
+            path = write_doc(tmp_path, base_doc(n=12, gains=gains, asymmetries=0.37))
+            clear_caches()
+            calls.clear()
+            for command, flags in commands:
+                assert cli.main([command, "--config", path, "--out", str(tmp_path / command), *flags]) == 0
+            assert len(calls) == 1, gains

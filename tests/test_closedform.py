@@ -5,7 +5,7 @@ import pytest
 
 from platoon_lab import closedform_eigenvalues, solve_thetas, spectrum_report
 
-from conftest import make_cfg
+from conftest import dense_reduced_eigs, make_cfg
 
 
 def residual(theta, n, eps):
@@ -56,8 +56,13 @@ class TestClosedformEigenvalues:
 
     def test_matches_numerical_spectrum(self):
         for n, eps in [(3, 0.5), (20, 0.5), (15, 0.25), (8, 0.9), (2000, 1e-6), (2000, 0.999999)]:
-            rep = spectrum_report(make_cfg(n, eps=eps))
+            cfg = make_cfg(n, eps=eps)
+            rep = spectrum_report(cfg)
             assert np.allclose(closedform_eigenvalues(n, eps), rep.eigenvalues, atol=1e-8)
+            # the dense general solver: independent of both phase equations, well conditioned
+            # on the small sizes (eps**(-(n - 2)/2) <= 1e6) and too slow at n = 2000
+            if n <= 200:
+                assert np.allclose(dense_reduced_eigs(cfg), rep.eigenvalues, atol=1e-8)
 
     def test_uniform_boundedness_over_sizes(self):
         # min eigenvalue decreases with size but never below the band floor

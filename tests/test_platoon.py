@@ -1,8 +1,11 @@
 import logging
+import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from platoon_lab import (
     ConfigError,
@@ -14,6 +17,7 @@ from platoon_lab import (
     spectrum,
     spectrum_report,
 )
+from platoon_lab import platoon
 
 from conftest import VEHICLE, CONTROLLER, dense_reduced_eigs, make_cfg
 
@@ -183,6 +187,83 @@ class TestSpectrum:
             eigs = np.asarray(rep.eigenvalues)
             assert np.all(eigs >= -1e-12)
             assert eigs.max() <= rep.gershgorin_upper + 1e-12
+
+
+UNIFORM_GRID = [(mu, eps) for mu in (0.5, 2.0) for eps in (1e-6, 0.5, 1.0)]
+
+
+class LapackCalled(Exception):
+    pass
+
+
+@pytest.fixture
+def no_lapack(monkeypatch):
+    """``platoon.eigh_tridiagonal`` raises LapackCalled; the spectrum cache starts and ends cold."""
+    def forbidden(*args, **kwargs):
+        raise LapackCalled
+
+    monkeypatch.setattr(platoon, "eigh_tridiagonal", forbidden)
+    spectrum_report.cache_clear()
+    yield
+    spectrum_report.cache_clear()
+
+
+def mp_eigenvalues(sub, diag, sup):
+    """Eigenvalues of the float bands, symmetrized and solved by ``mpmath.eigsy`` at 30 digits."""
+    m = diag.size
+    with mpmath.workdps(30):
+        S = mpmath.matrix(m, m)
+        for i in range(m):
+            S[i, i] = mpmath.mpf(float(diag[i]))
+        for i in range(m - 1):
+            S[i, i + 1] = S[i + 1, i] = mpmath.sqrt(mpmath.mpf(float(sub[i])) * mpmath.mpf(float(sup[i])))
+        return np.array(sorted(float(x) for x in mpmath.eigsy(S, eigvals_only=True)))
+
+
+class TestUniformSpectrumRoute:
+    @pytest.mark.parametrize("mu, eps", UNIFORM_GRID)
+    @pytest.mark.parametrize("n", [3, 200, 10**5])
+    def test_uniform_bands_need_no_eigensolver(self, no_lapack, n, mu, eps):
+        rep = spectrum_report(make_cfg(n, eps=eps, mu=mu))
+        lam = rep.eigenvalues
+        assert lam.shape == (n - 1,) and not lam.flags.writeable
+        assert np.all(np.diff(lam) > 0) and rep.fiedler == lam[0]
+        # a - 2b <= lam <= a + 2b with a = mu(1 + eps), b = mu sqrt(eps)
+        assert lam[0] >= mu * (1 - math.sqrt(eps)) ** 2 * (1 - 1e-15)
+        assert lam[-1] <= mu * (1 + math.sqrt(eps)) ** 2 * (1 + 1e-15)
+
+    @pytest.mark.parametrize("cfg", [
+        PlatoonConfig(n=6, gains=(1.0, 1.5, 1.0, 1.5, 1.0), asymmetries=(0.5,) * 5,
+                      vehicle=VEHICLE, controller=CONTROLLER),
+        make_cfg(6, eps=1.5),
+        make_cfg(6, eps=0.0),
+        make_cfg(2, eps=0.5),
+    ], ids=["array-gains", "eps-1.5", "eps-0", "n-2"])
+    def test_other_bands_reach_the_eigensolver(self, no_lapack, cfg):
+        with pytest.raises(LapackCalled):
+            spectrum_report(cfg)
+
+    @pytest.mark.parametrize("mu, eps", UNIFORM_GRID)
+    def test_relative_accuracy_against_mpmath(self, mu, eps):
+        for n in (3, 4, 11, 30):
+            bands = laplacian_bands(make_cfg(n, eps=eps, mu=mu))
+            want = mp_eigenvalues(*bands)
+            got = spectrum(*bands).eigenvalues
+            assert np.max(np.abs(got - want) / want) <= 1e-14, n
+
+    @pytest.mark.parametrize("mu, eps", UNIFORM_GRID)
+    def test_matches_lapack_at_n_1000(self, mu, eps):
+        sub, diag, sup = laplacian_bands(make_cfg(1000, eps=eps, mu=mu))
+        want = eigh_tridiagonal(diag, np.sqrt(sub * sup), eigvals_only=True)
+        got = spectrum(sub, diag, sup).eigenvalues
+        assert np.max(np.abs(got - want)) <= 1e-13 * want[-1]
+
+    def test_fiedler_value_keeps_its_relative_accuracy_at_large_n(self):
+        # eps = 1: theta_k = (2k - 1) pi / (2m + 1) exactly, lambda_1 = 4 mu sin(theta_1 / 2)**2 ~ 1e-9
+        n, mu = 10**5, 1.3
+        with mpmath.workdps(30):
+            want = float(4 * mu * mpmath.sin(mpmath.pi / (2 * (2 * n - 1))) ** 2)
+        assert spectrum_report(make_cfg(n, eps=1.0, mu=mu)).fiedler == pytest.approx(want, rel=1e-14, abs=0)
 
 
 class TestFiedlerLowerBound:
