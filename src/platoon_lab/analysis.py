@@ -4,13 +4,15 @@ The transfer function from the second vehicle's input to the last vehicle's
 position factors into a product of closed-loop blocks, one per reduced
 Laplacian eigenvalue: ``T(s) = (1/mu_2) * prod_i lam_i M(s) / (1 + lam_i M(s))``
 with ``M = C*G`` the per-vehicle open loop.  This module builds all block
-denominators in one place, solves their poles in one stacked call per degree,
+denominators in one place, tests their stability against the open loop's
+stable gain intervals (:mod:`blockpeak`) with no pole solve per eigenvalue,
 evaluates the product from the eigenvalue vector alone with z = 1/M, one
-complex log per block, provides the full interconnected state-space response
-as an independent oracle, and runs the harmonic-instability test: when the
-spectrum admits a size-independent positive lower bound and the closed-loop
-block at that bound has a peak gain above one, the platoon's peak gain grows
-at least geometrically with the vehicle count.
+complex log per block (a single frequency with the bits it gets in a grid),
+provides the full interconnected state-space response as an independent
+oracle, and runs the harmonic-instability test: when the spectrum admits a
+size-independent positive lower bound and the closed-loop block at that bound
+has a peak gain above one, the platoon's peak gain grows at least
+geometrically with the vehicle count.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import zgbsv
 
-from .blockpeak import _block_peak, _ratio_at
-from .numerics import RationalTF, _column_blocks, _row_degrees, companion_roots, poly_eval
+from .blockpeak import _block_peak, _blocks_stable, _ratio_at
+from .numerics import RationalTF, _column_blocks, poly_eval
 from .peaksearch import DEFAULT_OMEGA_BAND, _refine, _scan_grid, hinf_norm  # noqa: F401
 from .platoon import (
     ConfigError,
@@ -43,9 +45,6 @@ logger = logging.getLogger(__name__)
 HARMONICALLY_UNSTABLE = "harmonically-unstable"
 TEST_INCONCLUSIVE = "test-inconclusive"
 UNSTABLE_BLOCKS = "unstable-blocks"
-
-# A closed-loop pole is stable when its real part is below this.
-_STABLE_RE = -1e-9
 
 
 @dataclass(frozen=True)
@@ -107,7 +106,12 @@ def open_loop(cfg: PlatoonConfig) -> RationalTF:
 
     Raises :class:`ConfigError` when a coefficient overflows or the denominator underflows to 0.
     """
-    C, G = cfg.controller, cfg.vehicle
+    return _open_loop(cfg.controller, cfg.vehicle)
+
+
+@lru_cache(maxsize=32)
+def _open_loop(C: RationalTF, G: RationalTF) -> RationalTF:
+    """:func:`open_loop`, once per (controller, vehicle): every size of a sweep shares one M."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
         num, den = np.convolve(C.num.coeffs, G.num.coeffs), np.convolve(C.den.coeffs, G.den.coeffs)
     if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den)) and np.any(den)):
@@ -139,41 +143,29 @@ class _Prepared(NamedTuple):
     rep: SpectrumReport
     M: RationalTF
     all_stable: bool
-    re_min: float
-    re_max: float
-    im_max: float
 
 
 @lru_cache(maxsize=128)
 def _prepared(cfg: PlatoonConfig) -> _Prepared:
-    """Spectrum, open loop and closed-loop pole extremes of a config.
+    """Spectrum, open loop and block stability of a config.
 
-    The closed-loop denominators of all eigenvalues are formed as one array
-    and the rows of each degree are solved in one stacked companion-matrix
-    eigenvalue call; no per-block object is built.  A row of degree 0 is a
-    zero-order block, which has no poles.  ``re_min``, ``re_max`` and
-    ``im_max`` are the smallest and largest real part and the largest
-    |imaginary part| over all block poles (inf, -inf and 0 when no block has a
-    pole), and ``all_stable`` holds when ``re_max`` is below -1e-9; a
-    block that cannot be formed raises ConfigError.
+    The closed-loop denominators of all eigenvalues are formed as one array,
+    so a block that cannot be formed raises ConfigError.  ``all_stable``
+    holds when every block pole has real part below -1e-9: a membership test
+    of the spectrum in the open loop's stable gain intervals
+    (:func:`blockpeak._blocks_stable`), with poles solved only for the
+    eigenvalues at an interval's end or whose denominator loses its leading
+    coefficient to round-off.  No per-block object is built.
     """
     rep = spectrum_report(cfg)
     M = open_loop(cfg)
-    dens = _closed_loop_dens(M, rep.eigenvalues)
-    degrees = _row_degrees(dens)
-    re_min, re_max, im_max = math.inf, -math.inf, 0.0
-    for d in np.unique(degrees[degrees > 0]):
-        roots = companion_roots(dens[degrees == d, :d + 1])
-        re_min = min(re_min, float(roots.real.min()))
-        re_max = max(re_max, float(roots.real.max()))
-        im_max = max(im_max, float(np.abs(roots.imag).max()))
-    all_stable = re_max < _STABLE_RE
+    all_stable = _blocks_stable(M, rep.eigenvalues, _closed_loop_dens(M, rep.eigenvalues))
     if not all_stable:
         logger.warning(
             "some closed-loop blocks are unstable; frequency responses are "
             "evaluated but do not define peak gains"
         )
-    return _Prepared(rep, M, all_stable, re_min, re_max, im_max)
+    return _Prepared(rep, M, all_stable)
 
 
 def _block_growth(lam: float, rep: SpectrumReport, M: RationalTF, band: tuple[float, float]):
@@ -210,17 +202,34 @@ def product_response(cfg: PlatoonConfig, omega):
         If some block has a pole exactly on the imaginary axis at ``omega``:
         z/lam_i = -1, or num(M) = den(M) = 0.
     """
-    rep, M, *_ = _prepared(cfg)
-    scalar = np.ndim(omega) == 0
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    rep, M, _ = _prepared(cfg)
+    if np.ndim(omega) == 0:  # a peak-search probe: Horner on a Python complex, the grid's quotient
+        w = float(omega)
+        a, b = poly_eval(M.den, 1j * w), poly_eval(M.num, 1j * w)
+        z_inf = b == 0 or math.isinf(a.real) or math.isinf(a.imag)
+        z = np.zeros((1, 1), dtype=complex) if z_inf else np.array([[a]]) / np.array([[b]])
+        out = _block_product(z, z_inf and a == 0, w, rep.eigenvalues, cfg.gains[0])
+        return 0j if z_inf else complex(out[0])
+    w = np.asarray(omega, dtype=float)
     a, b = poly_eval(M.den, 1j * w), poly_eval(M.num, 1j * w)
     z_inf = (b == 0) | np.isinf(a)
-    x = np.divide(a, b, out=np.zeros_like(a), where=~z_inf)[:, None] / rep.eigenvalues
-    pole = z_inf & (a == 0) | np.any(x == -1, axis=1)
-    if np.any(pole):
-        raise ConfigError(f"response undefined at omega={w[pole][0]}: closed-loop pole on the imaginary axis")
-    out = np.where(z_inf, 0, np.exp(-np.sum(np.log1p(x, out=x), axis=1))) / cfg.gains[0]
-    return complex(out[0]) if scalar else out
+    out = _block_product(np.divide(a, b, out=np.zeros_like(a), where=~z_inf)[:, None], z_inf & (a == 0), w,
+                         rep.eigenvalues, cfg.gains[0])
+    out[z_inf] = 0
+    return out
+
+
+def _block_product(z, pole, w, eigenvalues, mu):
+    """``exp(-sum_i log1p(z/lam_i)) / mu`` for a column ``z``, one contiguous row of ``z / eigenvalues`` each.
+
+    ``pole`` flags the frequencies ``w`` already known to be poles; ConfigError names the first pole.
+    """
+    x = z / eigenvalues
+    pole = pole | (x == -1).any(axis=-1)
+    if pole.any():
+        raise ConfigError(f"response undefined at omega={np.atleast_1d(w)[np.atleast_1d(pole)][0]}: "
+                          "closed-loop pole on the imaginary axis")
+    return np.exp(-np.log1p(x, out=x).sum(axis=-1)) / mu
 
 
 def controllable_canonical(tf: RationalTF) -> tuple[np.ndarray, np.ndarray]:
@@ -274,23 +283,25 @@ def direct_response(cfg: PlatoonConfig, omega: float) -> complex:
     """T(j*omega) from one banded solve on the full interconnected state space.
 
     This is the oracle path: it never uses the block product.  The banded LU
-    of j*omega*I - A (LAPACK ``gbsv``, partial pivoting) takes time linear in
-    the vehicle count.  At omega = 0 the solve is singular whenever the open
-    loop has an integrator, so the DC value is returned through the block
-    formula, which is finite there.
+    of j*omega*I - A (LAPACK ``gbsv``, partial pivoting, in place on one
+    array) takes time linear in the vehicle count.  At omega = 0 the solve is
+    singular whenever the open loop has an integrator, so the DC value is
+    returned through the block formula, which is finite there.
     """
     if omega == 0.0:
         return product_response(cfg, 0.0)
     ab, c = _oracle_realization(cfg)
     m = c.size
-    lhs = np.negative(ab, dtype=complex)
-    lhs[m] += 1j * omega  # band row m is the main diagonal
+    kl = 2 * m - 1
+    # gbsv's layout, kl rows for the LU's fill-in above the bands, in Fortran order: factored in place
+    lhs = np.zeros((kl + ab.shape[0], ab.shape[1]), dtype=complex, order="F")
+    np.negative(ab, out=lhs[kl:], dtype=complex)
+    lhs[kl + m] += 1j * omega  # band row m is the main diagonal
     b = np.zeros(ab.shape[1], dtype=complex)
     b[m - 1] = 1.0
-    try:
-        z = solve_banded((2 * m - 1, m), lhs, b, check_finite=False)  # a non-finite A is reported below
-    except np.linalg.LinAlgError:
-        raise ValueError(f"response undefined at omega={omega}") from None
+    z, info = zgbsv(kl, m, lhs, b, overwrite_ab=True, overwrite_b=True)[2:]  # a non-finite A is reported below
+    if info:
+        raise ValueError(f"response undefined at omega={omega}")
     val = complex(c @ z[-m:])
     if not (math.isfinite(val.real) and math.isfinite(val.imag)):
         raise ValueError(f"response undefined at omega={omega}")
@@ -453,7 +464,7 @@ def verify_eigen_identities(cfg: PlatoonConfig) -> tuple[np.ndarray, float]:
 
 def frequency_series(cfg: PlatoonConfig, n_points: int = 400,
                      omega_band: tuple[float, float] = DEFAULT_OMEGA_BAND) -> FreqSeries:
-    """Leader-to-last-vehicle frequency response mu_2*T on a log grid, evaluated in blocks of ~1 MB.
+    """Leader-to-last-vehicle frequency response mu_2*T on a log grid, evaluated in blocks of ~256 KiB.
 
     Where the product of blocks leaves double range (n of a few thousand) or
     Horner evaluation of M overflows (a very wide band), a value is NaN or

@@ -34,7 +34,7 @@ def _row_degrees(coeffs) -> np.ndarray:
 
 # Bytes of the complex rows-by-block array that one block of _column_blocks
 # may hold.
-_BLOCK_BYTES = 1 << 20
+_BLOCK_BYTES = 1 << 18
 
 
 def _column_blocks(grid: np.ndarray, rows: int) -> list[np.ndarray]:

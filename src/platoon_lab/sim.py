@@ -14,13 +14,15 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.blas import dgbmv
 
-from .analysis import _oracle_realization, _prepared
-from .platoon import ConfigError, PlatoonConfig, _band_product
+from .analysis import _closed_loop_dens, _oracle_realization, open_loop
+from .blockpeak import _block_poles
+from .platoon import ConfigError, PlatoonConfig, _band_product, spectrum_report
 
 logger = logging.getLogger(__name__)
 
@@ -98,6 +100,30 @@ def write_csv(fh, blocks) -> None:
             fh.write(row * len(values) % tuple(values.ravel().tolist()))
 
 
+class _Poles(NamedTuple):
+    poles: np.ndarray
+    re_min: float
+    re_max: float
+    im_max: float
+
+
+@lru_cache(maxsize=32)
+def _pole_pass(cfg: PlatoonConfig) -> _Poles:
+    """Every closed-loop block pole of a config, read-only, and their extremes.
+
+    ``re_min``, ``re_max`` and ``im_max`` are the smallest and largest real
+    part and the largest |imaginary part| over all block poles (inf, -inf and
+    0 when no block has a pole).  The rows of each degree are solved in one
+    stacked companion-matrix call, once per config: only ``step`` needs the
+    poles themselves, and it needs no other stability test.
+    """
+    M = open_loop(cfg)
+    poles = _block_poles(_closed_loop_dens(M, spectrum_report(cfg).eigenvalues))
+    poles.flags.writeable = False
+    return _Poles(poles, float(poles.real.min(initial=math.inf)), float(poles.real.max(initial=-math.inf)),
+                  float(np.abs(poles.imag).max(initial=0.0)))
+
+
 def dt_limit(cfg: PlatoonConfig) -> float | None:
     """Largest admissible step over all closed-loop block poles.
 
@@ -106,7 +132,7 @@ def dt_limit(cfg: PlatoonConfig) -> float | None:
     stability bound h*|lam| <= 2.785, from the most negative real part; None
     when no pole oscillates or lies in the left half-plane.
     """
-    prep = _prepared(cfg)
+    prep = _pole_pass(cfg)
     limits = []
     if prep.im_max > 0.0:
         limits.append((2.0 * math.pi / prep.im_max) / 20.0)
@@ -165,17 +191,30 @@ def stream(sc: SimScenario):
     output row) are read once per block of about 64 KiB of states, so
     memory is linear in the state.
 
-    Raises ConfigError when dt exceeds the admissible step (naming it),
-    ``simulate``'s output grid would not fit in memory (naming its shape),
-    the open loop is not strictly proper or a block cannot be formed;
-    ``blocks`` raises it when the integration diverges.
+    Raises ConfigError when dt exceeds the admissible step (naming it) or
+    RK4 amplifies a decaying pole p, |R(h*p)| > 1 with R(z) = 1 + z + z**2/2
+    + z**3/6 + z**4/24 (naming the pole), ``simulate``'s output grid would
+    not fit in memory (naming its shape), the open loop is not strictly
+    proper or a block cannot be formed; ``blocks`` raises it when the
+    integration diverges.
     """
     cfg, h = sc.cfg, sc.dt
     limit = dt_limit(cfg)
     if limit is not None and h > limit:
         raise ConfigError(f"dt={h} too large for the closed-loop dynamics; required dt <= {limit:.6g}")
+    prep = _pole_pass(cfg)
+    decaying = prep.poles[prep.poles.real < 0]
+    x, y = h * decaying.real, h * decaying.imag
+    re, im, u, v = 1.0, 0.0, 1.0, 0.0
+    for k in range(1, 5):  # R(x + jy) term by term, u + jv = (x + jy)**k / k!, in real arithmetic
+        u, v = (u * x - v * y) / k, (u * y + v * x) / k
+        re, im = re + u, im + v
+    amplified = np.flatnonzero(re * re + im * im > 1.0)
+    if amplified.size:
+        p = complex(decaying[amplified[0]])
+        raise ConfigError(f"dt={h} too large for the closed-loop dynamics: RK4 amplifies the pole {p:.6g} "
+                          f"by {math.hypot(re[amplified[0]], im[amplified[0]]):.6g} per step")
 
-    prep = _prepared(cfg)
     t_end = sc.t_end
     if prep.re_max > 0:
         t_cap = 14.0 / prep.re_max  # amplitude growth capped near e^14
@@ -197,8 +236,10 @@ def stream(sc: SimScenario):
     u = sc.leader_signal.value
 
     def blocks():
-        pad = ((0, 0), (0, m * max(12 - nn, 0)))  # zero vehicles: dgbmv needs 12m-3 rows
-        TB, G = map(np.pad, _propagator(ab, B, h), (pad, pad[::-1]))
+        TB, G = _propagator(ab, B, h)
+        if nn < 12:  # zero vehicles: dgbmv needs 12m-3 rows
+            pad = ((0, 0), (0, m * (12 - nn)))
+            TB, G = np.pad(TB, pad), np.pad(G, pad[::-1])
         d = TB.shape[1]
         rows, x = max(1, _BLOCK_BYTES // (8 * d)), np.zeros(d)
         yield np.zeros(1), (x.reshape(-1, m) @ c)[None, :nn]

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from platoon_lab import PlatoonConfig, Polynomial, RationalTF, build_laplacian, hinf_norm, open_loop, poly_eval
-from platoon_lab.analysis import _STABLE_RE, _closed_loop_dens, controllable_canonical
-from platoon_lab.blockpeak import _block_peak
+from platoon_lab.analysis import _closed_loop_dens, controllable_canonical
+from platoon_lab.blockpeak import _STABLE_RE, _block_peak
 from platoon_lab.numerics import _as_poly, companion_roots
 
 # Benchmark models used throughout: a double-integrator vehicle with a
@@ -21,6 +21,18 @@ def make_cfg(n, eps=0.5, mu=1.0, vehicle=VEHICLE, controller=CONTROLLER):
     asym = (float(eps),) * (n - 1)
     return PlatoonConfig(n=n, gains=gains, asymmetries=asym,
                          vehicle=vehicle, controller=controller)
+
+
+def near_axis(c):
+    """den(M) + lam*num(M) = (s + c)(s + lam): a block pole at -c for every gain."""
+    return PlatoonConfig(n=4, gains=(1.0,) * 3, asymmetries=(0.5,) * 3,
+                         vehicle=RationalTF(num=(c, 1.0), den=(0.0, c, 1.0)), controller=RationalTF((1.0,), (1.0,)))
+
+
+def crossing_near_one(c):
+    """den(M) + lam*num(M) = s + c - 1 + lam: at the eigenvalue lam = 1 the block pole is -c."""
+    return PlatoonConfig(n=2, gains=(1.0,), asymmetries=(0.0,), vehicle=RationalTF(num=(1.0,), den=(c - 1.0, 1.0)),
+                         controller=RationalTF((1.0,), (1.0,)))
 
 
 @pytest.fixture

@@ -43,10 +43,12 @@ from conftest import (
     VEHICLE,
     block_stable,
     closed_form_block_peak,
+    crossing_near_one,
     grid_block_peak,
     kron_state_space,
     make_block,
     make_cfg,
+    near_axis,
     rtf_eval,
 )
 
@@ -146,6 +148,13 @@ class TestBlockStable:
         rep = spectrum_report(cfg)
         M = open_loop(cfg)
         assert all(block_stable(make_block(lam, M)) for lam in rep.eigenvalues)
+
+    @pytest.mark.parametrize("cfg, stable", [
+        (near_axis(5e-10), False), (near_axis(2e-9), True),  # a pole at -c for every gain
+        (crossing_near_one(5e-10), False), (crossing_near_one(2e-9), True),  # an eigenvalue at a crossing
+    ])
+    def test_threshold_holds_at_poles_near_the_axis(self, cfg, stable):
+        assert _prepared(cfg).all_stable is stable
 
 
 class TestProductResponse:

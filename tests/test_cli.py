@@ -5,7 +5,7 @@ import logging
 import numpy as np
 import pytest
 
-from platoon_lab import analysis, cli, platoon, sim
+from platoon_lab import analysis, blockpeak, cli, platoon, sim
 from platoon_lab.analysis import _prepared, direct_response
 
 from conftest import make_cfg
@@ -567,9 +567,12 @@ FOUR_COMMANDS = (
 
 
 def clear_caches():
-    """Cold start: a second run of a command replays the per-config caches."""
+    """Cold start: a second run of a command replays the per-config and per-open-loop caches."""
     _prepared.cache_clear()
     platoon.spectrum_report.cache_clear()
+    sim._pole_pass.cache_clear()
+    analysis._open_loop.cache_clear()
+    blockpeak._stable_gains.cache_clear()
 
 
 class TestDeterminism:
@@ -598,6 +601,32 @@ class TestDeterminism:
 
 
 class TestOneSpectrumPerConfig:
+    def test_pole_solves_do_not_grow_with_n(self, tmp_path, monkeypatch):
+        stacks = []  # rows of each companion_roots call
+        real = blockpeak.companion_roots
+
+        def counting(coeffs):
+            stacks.append(int(np.prod(np.shape(coeffs)[:-1])))
+            return real(coeffs)
+
+        monkeypatch.setattr(blockpeak, "companion_roots", counting)
+        path = write_doc(tmp_path, base_doc(n=4000))
+        # gamma at n = 4000 exits 2: the product overflows (a known defect), after its stability test
+        for command, flags, code in (("harmonic", [], 0), ("freqresp", [], 0),
+                                     ("gamma", ["--n-min", "4000", "--n-max", "4000"], 2)):
+            clear_caches()
+            stacks.clear()
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert cli.main([command, "--config", path, "--out", str(tmp_path / command), *flags]) == code
+            assert stacks and max(stacks) == 1, (command, stacks)
+        # step solves every block's poles, once per config, in one stacked call per degree
+        path = write_doc(tmp_path, base_doc(n=50))
+        clear_caches()
+        stacks.clear()
+        for _ in range(2):
+            assert cli.main(["step", "--config", path, "--t-end", "0.1", "--out", str(tmp_path / "step")]) == 0
+        assert [k for k in stacks if k > 1] == [49]
+
     def test_four_commands_solve_the_spectrum_once(self, tmp_path, monkeypatch):
         calls = []
         real = platoon.spectrum

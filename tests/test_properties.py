@@ -26,14 +26,17 @@ from platoon_lab import numerics  # noqa: E402
 from platoon_lab.analysis import _prepared  # noqa: E402
 from platoon_lab.peaksearch import _scan_grid  # noqa: E402
 from platoon_lab.platoon import _family_log_gains  # noqa: E402
+from platoon_lab.sim import _pole_pass  # noqa: E402
 
 from conftest import (  # noqa: E402
     CONTROLLER,
     VEHICLE,
     block_stable,
     closed_form_block_peak,
+    crossing_near_one,
     grid_block_peak,
     make_block,
+    near_axis,
     poly_roots,
 )
 
@@ -111,14 +114,19 @@ def per_block_extremes(cfg):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(platoons())
+# poles 5e-10 and 2e-9 left of the axis, on either side of the -1e-9 stability threshold
+@example(near_axis(5e-10))
+@example(near_axis(2e-9))
+@example(crossing_near_one(5e-10))
+@example(crossing_near_one(2e-9))
 def test_prepared_pole_extremes_equal_per_block_solves(cfg):
     expect = per_block_extremes(cfg)
     if isinstance(expect, float):
         with pytest.raises(ConfigError, match=re.escape(f"no closed-loop block at lam={expect:.17g}:")):
             _prepared(cfg)
     else:
-        prep = _prepared(cfg)
-        assert (prep.re_min, prep.re_max, prep.im_max, prep.all_stable) == expect
+        extremes = _pole_pass(cfg)
+        assert (extremes.re_min, extremes.re_max, extremes.im_max, _prepared(cfg).all_stable) == expect
 
 
 @st.composite
@@ -144,6 +152,30 @@ def test_product_response_matches_mpmath_product(cfg, log_omegas):
             m = mpmath.polyval(M.num.coeffs[::-1], s) / mpmath.polyval(M.den.coeffs[::-1], s)
             expect = mpmath.fprod(lam * m / (1 + lam * m) for lam in lams) / cfg.gains[0]
             assert abs(val - complex(expect)) <= 1e-12 * abs(complex(expect))
+
+
+def probe_outcome(evaluate):
+    """The bytes of a response value, or the ConfigError it raises."""
+    try:
+        with np.errstate(all="ignore"):  # Horner's overflow on a wide band is part of the value
+            return np.complex128(evaluate()).tobytes()
+    except ConfigError as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(platoons(), st.just(-math.inf) | st.floats(-3.0, 200.0))
+# a zero-order loop, an improper loop, and 1/s**2, whose block at lam = 1 has poles at s = +-j
+@example(PlatoonConfig(n=5, gains=[1.0] * 4, asymmetries=[0.5] * 4, vehicle=UNIT, controller=UNIT), 0.5)
+@example(PlatoonConfig(n=5, gains=[1.0] * 4, asymmetries=[0.5] * 4, vehicle=RationalTF((1.0, 1.0, 1.0), (0.0, 1.0)),
+                       controller=UNIT), 150.0)
+@example(PlatoonConfig(n=2, gains=[1.0], asymmetries=[0.0], vehicle=RationalTF((1.0,), (0.0, 0.0, 1.0)),
+                       controller=UNIT), 0.0)
+def test_single_frequency_probe_is_its_grid_row(cfg, log_omega):
+    # the peak search's scalar probe must give the bits, or the error, of a one-point grid
+    w = 10.0 ** log_omega
+    assert probe_outcome(lambda: product_response(cfg, w)) == probe_outcome(
+        lambda: product_response(cfg, np.array([w]))[0])
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)

@@ -24,6 +24,7 @@ from platoon_lab import (
 )
 from platoon_lab.analysis import _oracle_realization, _prepared
 from platoon_lab.platoon import banded_matrix
+from platoon_lab.sim import _pole_pass
 
 from conftest import (
     BAD_CONTROLLER,
@@ -175,6 +176,18 @@ class TestSimulate:
         with pytest.raises(ValueError, match="required dt"):
             simulate(scenario)
 
+    def test_dt_that_rk4_amplifies_is_refused(self):
+        # block poles -2.785 +- 0.314j: at dt = 1 both dt_limit rules pass, but RK4's
+        # R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 has |R(-2.785 + 0.314j)| = 1.0097
+        c = 2.785 ** 2 + 0.314 ** 2
+        cfg = PlatoonConfig(n=2, gains=(1.0,), asymmetries=(0.0,), vehicle=RationalTF((1.0,), (c - 1.0, 5.57, 1.0)),
+                            controller=RationalTF((1.0,), (1.0,)))
+        assert dt_limit(cfg) == 1.0
+        with pytest.raises(ConfigError, match=r"dt=1\.0 too large .* amplifies the pole -2\.785\+0\.314j by 1\.0097"):
+            sim.stream(SimScenario(cfg=cfg, leader_signal=StepSignal(1.0), t_end=10.0, dt=1.0))
+        ts = simulate(SimScenario(cfg=cfg, leader_signal=StepSignal(1.0), t_end=10.0, dt=0.95))  # |R| = 0.81
+        assert np.all(np.isfinite(ts.positions))
+
     def test_dt_limit_is_fastest_block_oscillation(self):
         # the stacked pole solve must reproduce the per-block solve exactly
         unit = RationalTF((1.0,), (1.0,))
@@ -199,8 +212,8 @@ class TestSimulate:
             poles = [r for b in blocks for r in poly_roots(b.den)]
             w_fast, re_min = max(abs(r.imag) for r in poles), min(r.real for r in poles)
             expect = (re_min, max(r.real for r in poles), w_fast, all(block_stable(b) for b in blocks))
-            prep = _prepared(cfg)
-            assert (prep.re_min, prep.re_max, prep.im_max, prep.all_stable) == expect
+            extremes = _pole_pass(cfg)
+            assert (extremes.re_min, extremes.re_max, extremes.im_max, _prepared(cfg).all_stable) == expect
             limits = [(2.0 * math.pi / w_fast) / 20.0] if w_fast else []
             limits += [2.785 / -re_min] if re_min < 0 else []
             assert dt_limit(cfg) == min(limits, default=None)
