@@ -25,11 +25,9 @@ import os
 import sys
 from contextlib import contextmanager
 
-import numpy as np
-
 from . import analysis, platoon, sim
 from .numerics import RationalTF
-from .platoon import ConfigError
+from .platoon import ConfigError, _check_fits
 
 logger = logging.getLogger(__name__)
 
@@ -55,10 +53,7 @@ def _broadcast(value, n: int, field: str) -> tuple[float, ...]:
 
 def _check_size(n: int, field: str) -> None:
     """Raise ConfigError naming ``n`` when a platoon of n vehicles cannot hold its n - 1 gains."""
-    try:
-        np.empty(n - 1)
-    except (MemoryError, ValueError, OverflowError):  # numpy's ValueError and OverflowError: beyond its size limit
-        raise ConfigError(f"platoon of {n} vehicles does not fit in memory; lower {field}") from None
+    _check_fits(n - 1, f"platoon of {n} vehicles does not fit in memory; lower {field}")
 
 
 def _finite_number(x) -> bool:
@@ -125,19 +120,6 @@ def load_config(path: str) -> tuple[platoon.PlatoonConfig, tuple[float, float], 
     return parse_config(doc)
 
 
-def config_to_dict(cfg: platoon.PlatoonConfig,
-                   omega_band: tuple[float, float] = analysis.DEFAULT_OMEGA_BAND) -> dict:
-    """Round-trippable JSON document for a config."""
-    return {
-        "n": cfg.n,
-        "gains": list(cfg.gains),
-        "asymmetries": list(cfg.asymmetries),
-        "vehicle": {"num": list(cfg.vehicle.num.coeffs), "den": list(cfg.vehicle.den.coeffs)},
-        "controller": {"num": list(cfg.controller.num.coeffs), "den": list(cfg.controller.den.coeffs)},
-        "omega_band": list(omega_band),
-    }
-
-
 @contextmanager
 def _output(out_path):
     """stdout, or the file ``out_path``, which is deleted again if the command raises while writing it."""
@@ -184,23 +166,19 @@ def cmd_harmonic(config_path: str, out_path=None) -> int:
     return EXIT_UNSTABLE_BLOCKS if v.verdict == analysis.UNSTABLE_BLOCKS else EXIT_OK
 
 
-def cmd_freqresp(config_path: str, out_path=None, n_points: int = 400) -> int:
+def cmd_freqresp(config_path: str, out_path, n_points: int) -> int:
     cfg, band, _ = load_config(config_path)
     if n_points < 2:
         raise ConfigError("points must be >= 2")
-    try:
-        np.empty(n_points, dtype=complex)  # the response values frequency_series returns
-    except (MemoryError, ValueError):  # numpy's ValueError: more entries than an index can address
-        raise ConfigError(f"frequency grid of {n_points} points does not fit in memory; "
-                          "lower points") from None
+    # the response values frequency_series returns
+    _check_fits(n_points, f"frequency grid of {n_points} points does not fit in memory; lower points", complex)
     series = analysis.frequency_series(cfg, n_points=n_points, omega_band=band)
     with _output(out_path) as fh:
         analysis.write_freq_csv(series, fh)
     return EXIT_OK
 
 
-def cmd_gamma(config_path: str, out_path=None, n_min: int = 5, n_max: int = 50,
-              n_step: int = 5) -> int:
+def cmd_gamma(config_path: str, out_path, n_min: int, n_max: int, n_step: int) -> int:
     cfg, band, raw = load_config(config_path)
     for field in ("gains", "asymmetries"):
         if isinstance(raw.get(field), list):
@@ -217,7 +195,7 @@ def cmd_gamma(config_path: str, out_path=None, n_min: int = 5, n_max: int = 50,
     return EXIT_OK
 
 
-def cmd_step(config_path: str, out_path=None, t_end: float = 100.0, dt: float = 0.01) -> int:
+def cmd_step(config_path: str, out_path, t_end: float, dt: float) -> int:
     cfg, _, _ = load_config(config_path)
     _, blocks = sim.stream(sim.SimScenario(cfg=cfg, leader_signal=sim.StepSignal(1.0),
                                            t_end=t_end, dt=dt))
@@ -228,11 +206,8 @@ def cmd_step(config_path: str, out_path=None, t_end: float = 100.0, dt: float = 
 
 def cmd_identities(config_path: str) -> int:
     cfg, _, _ = load_config(config_path)
-    try:
-        np.empty((cfg.n, cfg.n))  # the dense Laplacian the identities work on
-    except (MemoryError, ValueError):  # numpy's ValueError: more bytes than an index can address
-        raise ConfigError(f"platoon of {cfg.n} vehicles: its {cfg.n} x {cfg.n} Laplacian does not fit "
-                          "in memory; lower n") from None
+    _check_fits((cfg.n, cfg.n), f"platoon of {cfg.n} vehicles: its {cfg.n} x {cfg.n} Laplacian does not fit "
+                "in memory; lower n")  # the dense Laplacian the identities work on
     try:
         power_res, inverse_res = analysis.verify_eigen_identities(cfg)
     except MemoryError:  # the n x n probe fits, the eigensolver's working set does not

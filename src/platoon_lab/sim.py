@@ -5,8 +5,7 @@ at its reference spacing, the constant spacing offsets cancel identically, and
 the leader's position change enters vehicle 2 as an exogenous signal with gain
 mu_2.  Outputs are therefore deviations from the initial formation; a unit
 leader step settles every deviation at 1 when the open loop contains an
-integrator.  Absolute positions are reconstructed on request by subtracting
-each vehicle's spacing offset.
+integrator.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from scipy.linalg.blas import dgbmv
 
 from .analysis import _closed_loop_dens, _oracle_realization, open_loop
 from .blockpeak import _block_poles
-from .platoon import ConfigError, PlatoonConfig, _band_product, spectrum_report
+from .platoon import ConfigError, PlatoonConfig, _band_product, _check_fits, spectrum_report
 
 logger = logging.getLogger(__name__)
 
@@ -76,11 +75,6 @@ class TimeSeries:
 
     times: np.ndarray
     positions: np.ndarray  # shape (len(times), n-1)
-
-    def absolute_positions(self, ref_distance: float) -> np.ndarray:
-        """Absolute coordinates: deviation minus each vehicle's spacing offset."""
-        offsets = ref_distance * np.arange(1, self.positions.shape[1] + 1)
-        return self.positions - offsets[None, :]
 
     def write_csv(self, fh) -> None:
         write_csv(fh, [(self.times, self.positions)])
@@ -227,11 +221,8 @@ def stream(sc: SimScenario):
     B = np.zeros(ab.shape[1])
     B[m - 1] = cfg.gains[0]
     steps = int(round(t_end / h))
-    try:  # reserves address space only: it bounds the horizon
-        np.empty((steps + 1, nn))
-    except (MemoryError, ValueError):  # numpy's ValueError: more bytes than an index can address
-        raise ConfigError(f"output grid of {steps + 1} x {nn} values does not fit in memory; "
-                          "raise dt or lower t_end") from None
+    _check_fits((steps + 1, nn), f"output grid of {steps + 1} x {nn} values does not fit in memory; "
+                "raise dt or lower t_end")  # bounds the horizon
 
     u = sc.leader_signal.value
 

@@ -1,10 +1,14 @@
+import importlib
 import io
 import json
 import logging
+import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import platoon_lab
 from platoon_lab import analysis, blockpeak, cli, platoon, sim
 from platoon_lab.analysis import _prepared, direct_response
 
@@ -139,12 +143,6 @@ class TestConfigParsing:
         # configs written for earlier versions may still carry the spacing
         assert cli.parse_config(base_doc(ref_distance=10.0))[0] == cli.parse_config(base_doc())[0]
 
-    def test_round_trip_identity(self):
-        cfg, band, _ = cli.parse_config(base_doc(n=5, gains=[1, 2, 3, 4], asymmetries=0.25))
-        again, band2, _ = cli.parse_config(cli.config_to_dict(cfg, band))
-        assert again == cfg
-        assert band2 == band
-
 
 class TestCmdSpectrum:
     def test_three_vehicle_report(self, tmp_path):
@@ -159,6 +157,17 @@ class TestCmdSpectrum:
         assert cert["p"] == pytest.approx(1.5)
         assert len(cert["row_margins"]) == 2
         assert cert["lower_bound"] <= doc["fiedler"]
+
+    @pytest.mark.parametrize("eps", [5e-324, 1e-309, 1e-12, 1e-6, 2e-5])
+    def test_small_asymmetry_certificate_holds(self, tmp_path, eps):
+        # RuntimeWarnings are errors in this suite
+        path = write_doc(tmp_path, base_doc(n=5, asymmetries=eps))
+        out = tmp_path / "report.json"
+        assert cli.main(["spectrum", "--config", path, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        cert = doc["dominance_certificate"]
+        assert len(cert["row_margins"]) == 4 and all(math.isfinite(x) for x in cert["row_margins"])
+        assert doc["theorem1_lower"] - 1e-12 <= cert["lower_bound"] <= doc["fiedler"]
 
     def test_unit_asymmetry_omits_bound(self, tmp_path, caplog):
         path = write_doc(tmp_path, base_doc(asymmetries=1.0))
@@ -572,7 +581,32 @@ def clear_caches():
     platoon.spectrum_report.cache_clear()
     sim._pole_pass.cache_clear()
     analysis._open_loop.cache_clear()
+    analysis._oracle_realization.cache_clear()
     blockpeak._stable_gains.cache_clear()
+
+
+def module_caches():
+    """Every cached function defined at module level in platoon_lab, by qualified name."""
+    caches = {}
+    for info in pkgutil.iter_modules(platoon_lab.__path__):
+        module = importlib.import_module(f"platoon_lab.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_clear") and getattr(obj, "__module__", None) == module.__name__:
+                caches[f"{module.__name__}.{name}"] = obj
+    return caches
+
+
+class TestClearCaches:
+    def test_every_module_cache_is_emptied(self, tmp_path):
+        path = write_doc(tmp_path, base_doc(n=6))
+        for command, flags in (*FOUR_COMMANDS, ("step", ["--t-end", "0.1"])):
+            assert cli.main([command, "--config", path, "--out", str(tmp_path / command), *flags]) == 0
+        direct_response(make_cfg(6), 1.0)
+        caches = module_caches()
+        assert {name for name, f in caches.items() if f.cache_info().currsize == 0} == set()
+        clear_caches()
+        assert {name: f.cache_info().currsize for name, f in caches.items()
+                if f.cache_info().currsize} == {}
 
 
 class TestDeterminism:

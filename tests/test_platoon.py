@@ -1,6 +1,7 @@
 import logging
 import math
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -299,7 +300,56 @@ class TestFiedlerLowerBound:
             assert rep.fiedler >= rep.fiedler_lower
 
 
+def exact_margins(cfg):
+    """Gershgorin margins of P^-1 R P in rational arithmetic, with the rows' largest terms.
+
+    Row i of the scaled reduced Laplacian is [-mu_i/p, mu_i*(1 + eps_i),
+    -p*mu_i*eps_i] with p = (1 + 1/eps_max)/2, without the subdiagonal in the
+    first row and the superdiagonal in the last.
+    """
+    mu = [Fraction(g) for g in cfg.gains]
+    eps = [Fraction(e) for e in cfg.asymmetries]
+    p = (1 + 1 / max(eps)) / 2
+    m = len(mu)
+    margins, scales = [], []
+    for i in range(m):
+        terms = [mu[i] * (1 + eps[i]), mu[i] / p if i > 0 else 0, p * mu[i] * eps[i] if i < m - 1 else 0]
+        margins.append(terms[0] - terms[1] - terms[2])
+        scales.append(max(terms))
+    return margins, scales
+
+
+CERT_EPS_MAX = (5e-324, 1e-309, 1e-12, 1e-6, 2e-5, 0.3, 0.9)
+
+
+def heterogeneous_cfg(seed, eps_max):
+    """Seeded platoon of at most 12 vehicles whose largest asymmetry is exactly eps_max."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 13))
+    eps = eps_max * rng.uniform(0.0, 1.0, n - 1)
+    eps[rng.random(n - 1) < 0.2] = 0.0
+    eps[int(rng.integers(0, n - 2))] = eps_max
+    return PlatoonConfig(n=n, gains=tuple(rng.uniform(0.1, 5.0, n - 1)), asymmetries=tuple(eps),
+                         vehicle=VEHICLE, controller=CONTROLLER)
+
+
 class TestDominanceCertificate:
+    @pytest.mark.parametrize("eps_max", CERT_EPS_MAX)
+    @pytest.mark.parametrize("template", ["uniform", 0, 1, 2, 3])
+    def test_margins_match_exact_rational_margins(self, eps_max, template):
+        if template == "uniform":
+            cfg = make_cfg(12, eps=eps_max, mu=0.7)
+        else:
+            cfg = heterogeneous_cfg(2200 + template, eps_max)
+        cert = dominance_certificate(cfg)
+        margins, scales = exact_margins(cfg)
+        assert len(cert.row_margins) == cfg.n - 1
+        for got, want, scale in zip(cert.row_margins, margins, scales):
+            assert math.isfinite(got)
+            assert abs(Fraction(got) - want) <= 4 * Fraction(math.ulp(float(scale))), (got, float(want))
+        assert cert.lower_bound == min(cert.row_margins)
+        assert cert.lower_bound >= fiedler_lower_bound(cfg) - 1e-12
+
     def test_uniform_asymmetry_margin(self):
         # interior margins hit the closed-form bound exactly when eps_i == eps_max
         cfg = make_cfg(10, eps=0.5)

@@ -385,12 +385,6 @@ class TestSimulate:
 
 
 class TestTimeSeries:
-    def test_absolute_positions_subtract_spacing(self):
-        cfg = make_cfg(3, eps=0.5)
-        ts = simulate(SimScenario(cfg=cfg, leader_signal=StepSignal(1.0), t_end=1.0, dt=0.01))
-        absolute = ts.absolute_positions(1.0)
-        assert np.allclose(absolute[0], [-1.0, -2.0])
-
     def test_csv_header_and_rows(self, tmp_path):
         cfg = make_cfg(4)
         ts = simulate(SimScenario(cfg=cfg, leader_signal=StepSignal(1.0), t_end=0.1, dt=0.01))
