@@ -13,6 +13,7 @@ from .platoon import (
     spectrum,
     spectrum_report,
 )
+from .blockpeak import kappa_modulus_sq
 from .closedform import ThetaRoots, closedform_eigenvalues, solve_thetas
 from .analysis import (
     FreqSeries,
@@ -24,7 +25,6 @@ from .analysis import (
     harmonic_test,
     hinf_norm,
     instantiate_family,
-    kappa_modulus_sq,
     open_loop,
     product_response,
     verify_eigen_identities,

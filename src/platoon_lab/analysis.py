@@ -3,16 +3,16 @@
 The transfer function from the second vehicle's input to the last vehicle's
 position factors into a product of closed-loop blocks, one per reduced
 Laplacian eigenvalue: ``T(s) = (1/mu_2) * prod_i lam_i M(s) / (1 + lam_i M(s))``
-with ``M = C*G`` the per-vehicle open loop.  This module builds all block
-denominators in one place, tests their stability against the open loop's
-stable gain intervals (:mod:`blockpeak`) with no pole solve per eigenvalue,
-evaluates the product from the eigenvalue vector alone with z = 1/M, one
-complex log per block (a single frequency with the bits it gets in a grid),
-provides the full interconnected state-space response as an independent
-oracle, and runs the harmonic-instability test: when the spectrum admits a
-size-independent positive lower bound and the closed-loop block at that bound
-has a peak gain above one, the platoon's peak gain grows at least
-geometrically with the vehicle count.
+with ``M = C*G`` the per-vehicle open loop.  This module tests the blocks'
+stability against the open loop's stable gain intervals (:mod:`blockpeak`)
+with no pole solve per eigenvalue, evaluates the product from the eigenvalue
+vector alone with z = 1/M, one complex log per block (a single frequency with
+the bits it gets in a grid or in a sweep's round), provides the full
+interconnected state-space response as an independent oracle, runs size
+sweeps in lockstep (:mod:`peaksearch`), and runs the harmonic-instability
+test: when the spectrum admits a size-independent positive lower bound and
+the closed-loop block at that bound has a peak gain above one, the platoon's
+peak gain grows at least geometrically with the vehicle count.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg.lapack import zgbsv
 
-from .blockpeak import _block_peak, _blocks_stable, _ratio_at
+from .blockpeak import _block_growth, _blocks_stable, _closed_loop_dens
 from .numerics import RationalTF, _column_blocks, poly_eval
-from .peaksearch import DEFAULT_OMEGA_BAND, _refine, _scan_grid, hinf_norm  # noqa: F401
+from .peaksearch import DEFAULT_OMEGA_BAND, _best_index, _lockstep, _probe_values, _refine, _scan_grid, _size_groups
+from .peaksearch import hinf_norm  # noqa: F401
 from .platoon import (
     ConfigError,
     PlatoonConfig,
@@ -120,25 +121,6 @@ def _open_loop(C: RationalTF, G: RationalTF) -> RationalTF:
     return RationalTF(num=tuple(num), den=tuple(den))
 
 
-def _closed_loop_dens(M: RationalTF, lams) -> np.ndarray:
-    """Closed-loop denominators ``den(M) + lam*num(M)``, one zero-padded row per gain.
-
-    Raises :class:`ConfigError` naming the first gain whose row is not finite or is zero.
-    """
-    a, b = np.asarray(M.den.coeffs), np.asarray(M.num.coeffs)
-    lams = np.asarray(lams, dtype=float)
-    dens = np.zeros((lams.size, max(a.size, b.size)))
-    dens[:, :a.size] = a
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        dens[:, :b.size] += lams[:, None] * b
-    finite = np.all(np.isfinite(dens), axis=1)
-    bad = np.flatnonzero(~finite | ~np.any(dens, axis=1))
-    if bad.size:
-        fault = "is identically zero" if finite[bad[0]] else "has a non-finite coefficient"
-        raise ConfigError(f"no closed-loop block at lam={lams[bad[0]]:.17g}: den(M) + lam*num(M) {fault}")
-    return dens
-
-
 class _Prepared(NamedTuple):
     rep: SpectrumReport
     M: RationalTF
@@ -168,31 +150,13 @@ def _prepared(cfg: PlatoonConfig) -> _Prepared:
     return _Prepared(rep, M, all_stable)
 
 
-def _block_growth(lam: float, rep: SpectrumReport, M: RationalTF, band: tuple[float, float]):
-    """Peak of the block at ``lam`` and the per-block growth it certifies.
-
-    Returns ``(gamma, omega0, alpha, beta, zeta)``: the block's peak gain over
-    ``band`` and its frequency, ``alpha + j*beta = lam*M(j*omega0)``, and the
-    minimum block modulus there over gain ratios kappa in
-    [1, lam_max/lam].  ``alpha`` and ``beta`` are None where lam*M is not
-    finite (a pole of M); ``zeta`` is None then and whenever ``gamma`` <= 1.
-    """
-    gamma, w0 = _block_peak(lam * np.asarray(M.num.coeffs), _closed_loop_dens(M, [lam])[0], *band)
-    ab = lam * complex(_ratio_at(M.num.coeffs, M.den.coeffs, np.array([w0]))[0])
-    if not math.isfinite(abs(ab)):
-        return gamma, w0, None, None, None
-    zeta = None
-    if gamma > 1.0:
-        zeta = _min_block_modulus(ab.real, ab.imag, rep.eigenvalues[-1] / lam)
-    return gamma, w0, ab.real, ab.imag, zeta
-
-
 def product_response(cfg: PlatoonConfig, omega):
     """Platoon transfer function T(j*omega) from the product of blocks.
 
     Accepts a scalar or an ndarray of frequencies.  With z = 1/M each block
     is 1/(1 + z/lam_i), so T = exp(-sum_i log1p(z/lam_i)) / mu_2: one complex
-    log per block.  Each frequency's logs are one contiguous row, which numpy
+    log per block (:func:`peaksearch._probe_values`, which also evaluates a
+    sweep's probes).  Each frequency's logs are one contiguous row, which numpy
     sums pairwise, so a frequency gets the same bits alone as in any grid.
     T is exactly 0 where z is infinite: num(M) = 0 or den(M) overflows.
 
@@ -203,33 +167,11 @@ def product_response(cfg: PlatoonConfig, omega):
         z/lam_i = -1, or num(M) = den(M) = 0.
     """
     rep, M, _ = _prepared(cfg)
-    if np.ndim(omega) == 0:  # a peak-search probe: Horner on a Python complex, the grid's quotient
-        w = float(omega)
-        a, b = poly_eval(M.den, 1j * w), poly_eval(M.num, 1j * w)
-        z_inf = b == 0 or math.isinf(a.real) or math.isinf(a.imag)
-        z = np.zeros((1, 1), dtype=complex) if z_inf else np.array([[a]]) / np.array([[b]])
-        out = _block_product(z, z_inf and a == 0, w, rep.eigenvalues, cfg.gains[0])
-        return 0j if z_inf else complex(out[0])
     w = np.asarray(omega, dtype=float)
-    a, b = poly_eval(M.den, 1j * w), poly_eval(M.num, 1j * w)
-    z_inf = (b == 0) | np.isinf(a)
-    out = _block_product(np.divide(a, b, out=np.zeros_like(a), where=~z_inf)[:, None], z_inf & (a == 0), w,
-                         rep.eigenvalues, cfg.gains[0])
-    out[z_inf] = 0
-    return out
-
-
-def _block_product(z, pole, w, eigenvalues, mu):
-    """``exp(-sum_i log1p(z/lam_i)) / mu`` for a column ``z``, one contiguous row of ``z / eigenvalues`` each.
-
-    ``pole`` flags the frequencies ``w`` already known to be poles; ConfigError names the first pole.
-    """
-    x = z / eigenvalues
-    pole = pole | (x == -1).any(axis=-1)
-    if pole.any():
-        raise ConfigError(f"response undefined at omega={np.atleast_1d(w)[np.atleast_1d(pole)][0]}: "
-                          "closed-loop pole on the imaginary axis")
-    return np.exp(-np.log1p(x, out=x).sum(axis=-1)) / mu
+    values, pole = _probe_values(rep.eigenvalues, cfg.gains[0], M, w.ravel())
+    if pole is not None:
+        raise pole
+    return complex(values[0]) if w.ndim == 0 else values
 
 
 def controllable_canonical(tf: RationalTF) -> tuple[np.ndarray, np.ndarray]:
@@ -308,32 +250,6 @@ def direct_response(cfg: PlatoonConfig, omega: float) -> complex:
     return val
 
 
-def kappa_modulus_sq(kappa: float, alpha: float, beta: float) -> float:
-    """Squared modulus of the closed loop at gain ratio ``kappa``.
-
-    With ``alpha + j*beta`` the scaled open loop at the peak frequency, the
-    block for ``kappa`` times that gain has squared modulus
-    ``1 - (2*kappa*alpha + 1) / ((kappa*alpha + 1)**2 + kappa**2 * beta**2)``;
-    for ``alpha < -1/2`` and ``kappa >= 1`` this exceeds one.
-    """
-    den = (kappa * alpha + 1.0) ** 2 + (kappa * beta) ** 2
-    if den <= 0.0:
-        raise ConfigError("closed-loop pole at the peak frequency: zero denominator")
-    return 1.0 - (2.0 * kappa * alpha + 1.0) / den
-
-
-def _min_block_modulus(alpha: float, beta: float, kappa_max: float) -> float:
-    """Minimum block modulus over gain ratios kappa in [1, kappa_max].
-
-    d kappa_modulus_sq / d kappa = 2*kappa*r*(alpha*kappa + 1) / D**2 with
-    r = alpha**2 + beta**2 and D its denominator, so the only positive
-    stationary point, kappa = -1/alpha, is a maximum and the minimum lies at
-    an end of the interval.
-    """
-    return math.sqrt(min(kappa_modulus_sq(1.0, alpha, beta),
-                         kappa_modulus_sq(kappa_max, alpha, beta)))
-
-
 def zeta_min(cfg: PlatoonConfig, omega_band: tuple[float, float] = DEFAULT_OMEGA_BAND) -> float | None:
     """Per-block growth factor of this platoon's peak gain.
 
@@ -346,7 +262,7 @@ def zeta_min(cfg: PlatoonConfig, omega_band: tuple[float, float] = DEFAULT_OMEGA
     that peak gain is not above 1 or sits at a pole of M.
     """
     rep, M, *_ = _prepared(cfg)
-    return _block_growth(rep.fiedler, rep, M, omega_band)[4]
+    return _block_growth([rep.fiedler], [rep.eigenvalues[-1]], M, omega_band)[0][4]
 
 
 def harmonic_test(cfg: PlatoonConfig,
@@ -371,12 +287,12 @@ def harmonic_test(cfg: PlatoonConfig,
     if not prep.all_stable:
         return HarmonicVerdict(verdict=UNSTABLE_BLOCKS, **known)
 
-    gamma_fiedler = _block_growth(rep.fiedler, rep, M, omega_band)[0]
+    gamma_fiedler = _block_growth([rep.fiedler], [rep.eigenvalues[-1]], M, omega_band)[0][0]
     if rep.fiedler_lower is None:
         return HarmonicVerdict(verdict=TEST_INCONCLUSIVE, hinf_gamma_fiedler=gamma_fiedler, **known)
 
     try:
-        gamma_u, w0, alpha, beta, zeta = _block_growth(rep.fiedler_lower, rep, M, omega_band)
+        gamma_u, w0, alpha, beta, zeta = _block_growth([rep.fiedler_lower], [rep.eigenvalues[-1]], M, omega_band)[0]
     except ConfigError as exc:  # the bound is no eigenvalue, so its block may not exist
         logger.warning("the test cannot run at the uniform bound: %s", exc)
         return HarmonicVerdict(verdict=TEST_INCONCLUSIVE, lambda_min_used=rep.fiedler_lower,
@@ -398,30 +314,42 @@ def gamma_sequence(template: PlatoonConfig, n_list,
                    omega_band: tuple[float, float] = DEFAULT_OMEGA_BAND) -> list[GammaPoint]:
     """Peak platoon gain for each size in ``n_list``.
 
-    gamma_n is :func:`hinf_norm` of the product-form response of the
-    template's member of size n, with every size's scan from one continuant
-    pass (:func:`platoon._family_log_gains`) and only the refinement calling
-    :func:`product_response`; a scan left NaN (a zero pivot) is taken from
-    the product.  The per-block growth factor is :func:`zeta_min`'s.
+    Each point is bit for bit :func:`hinf_norm` of :func:`product_response`
+    and :func:`zeta_min` for its size, and a sweep raises the first error a
+    loop over the sizes would.  The scans come from one continuant pass
+    (:func:`platoon._family_log_gains`), or, where it is NaN, from the product
+    in ~256 KiB blocks.  In groups of ~256 KiB of eigenvalues, the Brent
+    searches run in lockstep and the block peaks are one stacked solve.
     """
-    grid, sizes, points = _scan_grid(*omega_band), [int(n) for n in n_list], []
-    for n in sizes:
-        cfg = instantiate_family(template, n)
-        M = _prepared(cfg).M  # each size's config faults come first
-        if not points:  # one pass serves every size
-            log_t = _family_log_gains(template, sizes, poly_eval(M.den, 1j * grid), poly_eval(M.num, 1j * grid))
-        response = lambda w: product_response(cfg, w)
-        with np.errstate(over="ignore"):  # an overflow is reported by _refine
-            mags = np.exp(log_t[n])
-        if np.isnan(mags).any():
-            mags = np.abs(response(grid))
-        gamma, _ = _refine(response, grid, mags)
-        points.append(GammaPoint(
-            n=n,
-            gamma=gamma,
-            gamma_root_n=gamma ** (1.0 / n),
-            zeta_min_lower=zeta_min(cfg, omega_band),
-        ))
+    grid, sizes, points, log_t = _scan_grid(*omega_band), [int(n) for n in n_list], [], None
+    for group in _size_groups(sizes):
+        reps, searches, error = [], [], None  # the spectra and searches of the sizes so far
+        for n in group:  # a size's config faults come first, then its scan's
+            try:
+                cfg = instantiate_family(template, n)
+                rep, M, _ = _prepared(cfg)
+                if log_t is None:  # one pass serves every size
+                    log_t = _family_log_gains(template, sizes, poly_eval(M.den, 1j * grid), poly_eval(M.num, 1j * grid))
+                with np.errstate(over="ignore"):  # an overflow is reported by _best_index
+                    mags = np.exp(log_t[n])
+                if np.isnan(mags).any():
+                    mags = np.concatenate([np.abs(product_response(cfg, w)) for w in _column_blocks(grid, n - 1)])
+                searches.append(_refine(grid, _best_index(grid, mags)))
+            except Exception as exc:  # raised once every earlier size has run its later stages
+                error = exc
+                break
+            reps.append(rep)
+        # every member's first gain, the input scaling, is the template's
+        peaks, fault = _lockstep(searches, lambda ks, omegas: _probe_values(
+            [reps[k].eigenvalues for k in ks], template.gains[0], M, omegas))
+        if fault is not None:
+            error, reps = fault, reps[:peaks.index(None)]
+        if reps:
+            growth = _block_growth([r.fiedler for r in reps], [r.eigenvalues[-1] for r in reps], M, omega_band)
+            points += [GammaPoint(n=n, gamma=gamma, gamma_root_n=gamma ** (1.0 / n), zeta_min_lower=g[4])
+                       for n, (gamma, _), g in zip(group, peaks, growth)]
+        if error is not None:
+            raise error
     return points
 
 

@@ -19,8 +19,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg.blas import dgbmv
 
-from .analysis import _closed_loop_dens, _oracle_realization, open_loop
-from .blockpeak import _block_poles
+from .analysis import _oracle_realization, open_loop
+from .blockpeak import _block_poles, _closed_loop_dens
 from .platoon import ConfigError, PlatoonConfig, _band_product, _check_fits, spectrum_report
 
 logger = logging.getLogger(__name__)

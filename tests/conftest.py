@@ -3,7 +3,7 @@ import pytest
 
 from platoon_lab import PlatoonConfig, Polynomial, RationalTF, build_laplacian, hinf_norm, open_loop, poly_eval
 from platoon_lab.analysis import _closed_loop_dens, controllable_canonical
-from platoon_lab.blockpeak import _STABLE_RE, _block_peak
+from platoon_lab.blockpeak import _STABLE_RE, _block_peaks
 from platoon_lab.numerics import _as_poly, companion_roots
 
 # Benchmark models used throughout: a double-integrator vehicle with a
@@ -83,8 +83,9 @@ def grid_block_peak(lam, M, lo=1e-3, hi=1e3):
 
 
 def closed_form_block_peak(lam, M, lo=1e-3, hi=1e3):
-    """The library's block peak, :func:`blockpeak._block_peak` of the block at ``lam``."""
-    return _block_peak(lam * np.asarray(M.num.coeffs), _closed_loop_dens(M, [lam])[0], lo, hi)
+    """The library's block peak, :func:`blockpeak._block_peaks` of the block at ``lam`` alone."""
+    (gamma,), (w0,) = _block_peaks(lam * np.asarray(M.num.coeffs)[None], _closed_loop_dens(M, [lam]), lo, hi)
+    return gamma, w0
 
 
 def block_stable(tf):

@@ -30,11 +30,10 @@ from platoon_lab.analysis import (
     TEST_INCONCLUSIVE,
     UNSTABLE_BLOCKS,
     _closed_loop_dens,
-    _min_block_modulus,
     _prepared,
     write_freq_csv,
 )
-from platoon_lab.blockpeak import _quotient, _ratio_at
+from platoon_lab.blockpeak import _min_block_modulus, _quotient, _ratio_at
 from platoon_lab.platoon import _family_log_gains
 
 from conftest import (
@@ -324,8 +323,9 @@ class TestHinfNorm:
     def test_peak_at_the_last_point_of_a_short_grid(self):
         # the bracket's upper end is the grid's last point, whatever the grid's size
         grid = np.logspace(0.0, 1.0, 50)
-        gamma, w0 = analysis._refine(lambda w: np.asarray(w) + 0j, grid, grid.copy())
-        assert gamma == w0 == 10.0
+        search = analysis._refine(grid, analysis._best_index(grid, grid.copy()))
+        (peak,), error = analysis._lockstep([search], lambda ks, omegas: ([omegas[0]], None))
+        assert peak == (10.0, 10.0) and error is None
 
 
 class TestBlockPeak:
@@ -559,34 +559,42 @@ class TestGammaSequence:
         assert got[0] == got[2]
         assert [p.gamma for p in got] == [p.gamma for n in sizes for p in gamma_sequence(template, [n])]
 
-    def test_sweep_calls_the_product_at_one_frequency_at_a_time(self, monkeypatch):
-        freqs_per_call = []
-        real = analysis.product_response
-
-        def spy(cfg, omega):
-            freqs_per_call.append(np.size(omega))
-            return real(cfg, omega)
-
-        monkeypatch.setattr(analysis, "product_response", spy)
-        gamma_sequence(make_cfg(20, eps=0.5), [5, 40, 10])
-        assert freqs_per_call and max(freqs_per_call) == 1
+    @pytest.mark.parametrize("template, omegas", [
+        (make_cfg(20, eps=0.5), [0.0, 1e-3, 2.45, 7.0, 1e3]),
+        # num(M) = 1 + s^2 vanishes at omega = 1: z is infinite and T is 0 there
+        (make_cfg(5, vehicle=RationalTF((1.0, 0.0, 1.0), (0.0, 0.0, 1.0, 1.0)), controller=RationalTF((1.0,), (1.0,))),
+         [0.0, 1.0, 0.5, 3.0, 1.0]),
+    ], ids=["golden-loop", "infinite-z"])
+    def test_batched_probes_are_single_product_calls(self, template, omegas):
+        # one round over five sizes, each probe in one buffer, against one product_response call each;
+        # the search takes Python's abs of each value, as of a single call's
+        cfgs = [instantiate_family(template, n) for n in (40, 2, 13, 200, 5)]
+        preps = [_prepared(cfg) for cfg in cfgs]
+        for shift in range(len(omegas)):  # every size meets every frequency
+            ws = omegas[shift:] + omegas[:shift]
+            values, error = analysis._probe_values([p.rep.eigenvalues for p in preps], template.gains[0],
+                                                   preps[0].M, ws)
+            assert error is None
+            want = [product_response(cfg, w) for cfg, w in zip(cfgs, ws)]
+            assert np.array(values).tobytes() == np.array(want).tobytes()
+            assert [abs(complex(v)) for v in values] == [abs(v) for v in want]
 
     @pytest.mark.parametrize("eps", [0.5, 1.0])
     def test_refinement_budget(self, monkeypatch, eps):
-        # at most 16 evaluations per size on average, the DC probe included: Brent's method
+        # at most 16 probes per size on average, the DC probe included: Brent's method
         # needs 9 to 24 for one size and 12.3 (eps 0.5) and 11.0 (eps 1.0) on average; the
         # golden section took 33 for every size
-        calls = []
-        real = analysis.product_response
+        probes = []
+        real = analysis._probe_values
 
-        def spy(cfg, omega):
-            calls.append(np.size(omega))
-            return real(cfg, omega)
+        def counting(eigs, mu, M, omegas):
+            probes.extend(omegas)
+            return real(eigs, mu, M, omegas)
 
-        monkeypatch.setattr(analysis, "product_response", spy)
+        monkeypatch.setattr(analysis, "_probe_values", counting)
         sizes = range(5, 201, 5)
         gamma_sequence(make_cfg(20, eps=eps), sizes)
-        assert len(calls) <= 16 * len(sizes)
+        assert len(sizes) <= len(probes) <= 16 * len(sizes)
 
     def test_sweep_at_n2000_holds_no_grid(self):
         _prepared.cache_clear()
@@ -597,6 +605,18 @@ class TestGammaSequence:
         finally:
             tracemalloc.stop()
         assert peak < 5e6  # the 1999-by-2000 complex grid of the product alone is 64 MB
+
+    def test_sweep_of_large_sizes_holds_one_block(self):
+        # 15 sizes with 36 000 eigenvalues in all: one round's buffer holds a group's, about 256 KiB
+        _prepared.cache_clear()
+        tracemalloc.start()
+        try:
+            points = gamma_sequence(make_cfg(20, eps=0.5), range(1000, 3801, 200))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [p.n for p in points] == list(range(1000, 3801, 200))
+        assert peak < 5e6
 
     def test_overflow_names_the_first_frequency(self):
         # log|T| is finite at n = 4000, but T itself exceeds double range
@@ -613,6 +633,21 @@ class TestGammaSequence:
         for n in (2, 5):
             with pytest.raises(ConfigError, match=r"response undefined at omega=1\.0: closed-loop pole"):
                 gamma_sequence(template, [n], (1.0, 10.0))
+
+    def test_zero_pivot_scan_from_the_product_in_blocks(self):
+        # the scan that the continuant leaves NaN comes from the product in ~256 KiB blocks,
+        # not from one 1999-by-2000 complex grid (64 MB), and fails at the same frequency
+        template = make_cfg(5, eps=0.0, controller=RationalTF((1.0,), (1.0,)))
+        _prepared(instantiate_family(template, 2000))  # the spectrum is cached outside the trace
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=r"^response undefined at omega=1\.0: closed-loop pole on the "
+                                                  r"imaginary axis$"):
+                gamma_sequence(template, [2000], (1.0, 10.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
     def test_infinite_z_gives_zero(self):
         # num(M) = 1 + s^2 vanishes at omega = 1 = grid[0]: T = 0 there

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from platoon_lab import ConfigError, PlatoonConfig, Polynomial, RationalTF, numerics, open_loop, poly_eval
-from platoon_lab.blockpeak import _block_peak
+from platoon_lab import ConfigError, PlatoonConfig, Polynomial, RationalTF, numerics, open_loop, poly_eval, zeta_min
+from platoon_lab.blockpeak import _block_peaks
 from platoon_lab.numerics import companion_roots
 
 
@@ -142,9 +142,14 @@ class TestRtfEval:
         assert tf_at(tf, 0.0) == pytest.approx(3.0)
 
     def test_pole_raises(self):
-        # 1/s is infinite at DC, the block peak's last candidate
+        # 1/s is infinite at DC, the block peak's last candidate: a NaN peak there, which zeta_min
+        # raises for the block 1/s of M = 1/(s - 1) at lam = 1
+        peaks, omegas = _block_peaks(np.array([[1.0]]), np.array([[0.0, 1.0]]), 1e-3, 1e3)
+        assert np.isnan(peaks[0]) and omegas == [0.0]
+        cfg = PlatoonConfig(n=2, gains=(1.0,), asymmetries=(0.0,), vehicle=RationalTF((1.0,), (-1.0, 1.0)),
+                            controller=RationalTF((1.0,), (1.0,)))
         with pytest.raises(ConfigError, match=r"non-finite response at omega=0\.0"):
-            _block_peak(np.array([1.0]), np.array([0.0, 1.0]), 1e-3, 1e3)
+            zeta_min(cfg)
 
     def test_cascade_eval_identity(self):
         rng = np.random.default_rng(5)

@@ -15,12 +15,14 @@ from platoon_lab import (  # noqa: E402
     PlatoonConfig,
     RationalTF,
     frequency_series,
+    gamma_sequence,
     hinf_norm,
     instantiate_family,
     open_loop,
     poly_eval,
     product_response,
     spectrum_report,
+    zeta_min,
 )
 from platoon_lab import numerics  # noqa: E402
 from platoon_lab.analysis import _prepared  # noqa: E402
@@ -176,6 +178,55 @@ def test_single_frequency_probe_is_its_grid_row(cfg, log_omega):
     w = 10.0 ** log_omega
     assert probe_outcome(lambda: product_response(cfg, w)) == probe_outcome(
         lambda: product_response(cfg, np.array([w]))[0])
+
+
+@st.composite
+def periodic_templates(draw):
+    """The benchmark loop with a gain rule of period 1 to 4 in [0.5, 2] and asymmetries in [0, 0.95]."""
+    period = draw(st.integers(1, 4))
+    gains = draw(st.lists(st.floats(0.5, 2.0), min_size=period, max_size=period))
+    # a template's trailing asymmetry is the structural zero, outside the rule, once it has two followers
+    asym = draw(st.lists(st.floats(0.0, 0.95), min_size=max(period - 1, 1), max_size=max(period - 1, 1)))
+    return PlatoonConfig(n=period + 1, gains=gains, asymmetries=asym + [0.0] * (period > 1), vehicle=VEHICLE,
+                         controller=CONTROLLER)
+
+
+def sweep_outcome(sweep):
+    """The ``(n, gamma, gamma_root_n, zeta_min_lower)`` rows a sweep gives, or the text of what it raises."""
+    try:
+        with np.errstate(all="ignore"):  # a pole's overflow is part of the outcome
+            return list(sweep())
+    except ConfigError as exc:
+        return str(exc)
+
+
+def per_size_sweep(template, sizes, band):
+    """The sweep one size at a time: the peak search on the product's single-frequency calls, and zeta_min."""
+    for n in sizes:
+        cfg = instantiate_family(template, n)
+        gamma = hinf_norm(lambda w: product_response(cfg, w), *band)[0]
+        yield n, gamma, gamma ** (1.0 / n), zeta_min(cfg, band)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(periodic_templates(), st.lists(st.integers(2, 60), min_size=1, max_size=6))
+@example(PlatoonConfig(n=5, gains=[1.3, 0.7, 1.9, 0.5], asymmetries=[0.9, 0.2, 0.6, 0.0], vehicle=VEHICLE,
+                       controller=CONTROLLER), [60, 2, 17, 60, 3, 17])
+# M = 1/s**2 with no asymmetry: the eigenvalues are the gains.  A gain of 1 puts a block pole at
+# omega = 1 = grid[0] of the band (1, 10), which fails the scan of every size but 2; the size of 2
+# has only the gain 4, whose pole at omega = 2 fails its block peak
+@example(PlatoonConfig(n=3, gains=[4.0, 1.0], asymmetries=[0.0, 0.0], vehicle=VEHICLE, controller=UNIT), [2, 5, 3])
+@example(PlatoonConfig(n=3, gains=[4.0, 1.0], asymmetries=[0.0, 0.0], vehicle=VEHICLE, controller=UNIT), [4, 2])
+def test_sweep_is_the_per_size_peak_search_bit_for_bit(template, sizes):
+    # the lockstep rounds and the stacked block peaks give each size its own bits, and the
+    # error of the first size that fails, at its first failing stage
+    band = (1.0, 10.0) if template.controller == UNIT else (1e-3, 1e3)
+    got = sweep_outcome(lambda: [(p.n, p.gamma, p.gamma_root_n, p.zeta_min_lower)
+                                 for p in gamma_sequence(template, sizes, band)])
+    assert got == sweep_outcome(lambda: per_size_sweep(template, sizes, band))
+    if template.controller == UNIT:
+        assert got == ("non-finite response at omega=2.0" if sizes[0] == 2 else
+                       "response undefined at omega=1.0: closed-loop pole on the imaginary axis")
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
