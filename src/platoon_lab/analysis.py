@@ -6,8 +6,8 @@ Laplacian eigenvalue: ``T(s) = (1/mu_2) * prod_i lam_i M(s) / (1 + lam_i M(s))``
 with ``M = C*G`` the per-vehicle open loop.  This module tests the blocks'
 stability against the open loop's stable gain intervals (:mod:`blockpeak`)
 with no pole solve per eigenvalue, evaluates the product from the eigenvalue
-vector alone with z = 1/M, one complex log per block (a single frequency with
-the bits it gets in a grid or in a sweep's round), provides the full
+vector alone with z = 1/M, one complex log per block, in one bounded evaluator
+for grids, single frequencies and a sweep's rounds alike, provides the full
 interconnected state-space response as an independent oracle, runs size
 sweeps in lockstep (:mod:`peaksearch`), and runs the harmonic-instability
 test: when the spectrum admits a size-independent positive lower bound and
@@ -27,8 +27,8 @@ import numpy as np
 from scipy.linalg.lapack import zgbsv
 
 from .blockpeak import _block_growth, _blocks_stable, _closed_loop_dens
-from .numerics import RationalTF, _column_blocks, poly_eval
-from .peaksearch import DEFAULT_OMEGA_BAND, _best_index, _lockstep, _probe_values, _refine, _scan_grid, _size_groups
+from .numerics import RationalTF, _groups, poly_eval
+from .peaksearch import DEFAULT_OMEGA_BAND, _best_index, _lockstep, _probe_values, _refine, _scan_grid
 from .peaksearch import hinf_norm  # noqa: F401
 from .platoon import (
     ConfigError,
@@ -153,12 +153,13 @@ def _prepared(cfg: PlatoonConfig) -> _Prepared:
 def product_response(cfg: PlatoonConfig, omega):
     """Platoon transfer function T(j*omega) from the product of blocks.
 
-    Accepts a scalar or an ndarray of frequencies.  With z = 1/M each block
-    is 1/(1 + z/lam_i), so T = exp(-sum_i log1p(z/lam_i)) / mu_2: one complex
-    log per block (:func:`peaksearch._probe_values`, which also evaluates a
-    sweep's probes).  Each frequency's logs are one contiguous row, which numpy
-    sums pairwise, so a frequency gets the same bits alone as in any grid.
-    T is exactly 0 where z is infinite: num(M) = 0 or den(M) overflows.
+    Accepts a scalar or an ndarray of any shape, and returns that shape.  With
+    z = 1/M each block is 1/(1 + z/lam_i), so T = exp(-sum_i log1p(z/lam_i)) / mu_2:
+    one complex log per block (:func:`peaksearch._probe_values`, which holds
+    about 256 KiB of logs at a time).  Each frequency's logs are one contiguous
+    row, which numpy sums pairwise, so a frequency gets the same bits alone as
+    in any grid.  T is exactly 0 where z is infinite: num(M) = 0 or den(M)
+    overflows.  A value that leaves double range is NaN or infinite, unwarned.
 
     Raises
     ------
@@ -168,10 +169,10 @@ def product_response(cfg: PlatoonConfig, omega):
     """
     rep, M, _ = _prepared(cfg)
     w = np.asarray(omega, dtype=float)
-    values, pole = _probe_values(rep.eigenvalues, cfg.gains[0], M, w.ravel())
+    values, pole = _probe_values([rep.eigenvalues] * w.size, cfg.gains[0], M, w.ravel())
     if pole is not None:
         raise pole
-    return complex(values[0]) if w.ndim == 0 else values
+    return complex(values[0]) if w.ndim == 0 else values.reshape(w.shape)
 
 
 def controllable_canonical(tf: RationalTF) -> tuple[np.ndarray, np.ndarray]:
@@ -317,23 +318,26 @@ def gamma_sequence(template: PlatoonConfig, n_list,
     Each point is bit for bit :func:`hinf_norm` of :func:`product_response`
     and :func:`zeta_min` for its size, and a sweep raises the first error a
     loop over the sizes would.  The scans come from one continuant pass
-    (:func:`platoon._family_log_gains`), or, where it is NaN, from the product
-    in ~256 KiB blocks.  In groups of ~256 KiB of eigenvalues, the Brent
-    searches run in lockstep and the block peaks are one stacked solve.
+    (:func:`platoon._family_log_gains`), or, where it is NaN, from the product.
+    In the runs of :func:`numerics._groups` over the sizes' eigenvalues, the
+    Brent searches run in lockstep and the block peaks are one stacked solve.
     """
     grid, sizes, points, log_t = _scan_grid(*omega_band), [int(n) for n in n_list], [], None
-    for group in _size_groups(sizes):
+    for start, stop in _groups([n - 1 for n in sizes]):
+        group = sizes[start:stop]
         reps, searches, error = [], [], None  # the spectra and searches of the sizes so far
         for n in group:  # a size's config faults come first, then its scan's
             try:
                 cfg = instantiate_family(template, n)
                 rep, M, _ = _prepared(cfg)
                 if log_t is None:  # one pass serves every size
-                    log_t = _family_log_gains(template, sizes, poly_eval(M.den, 1j * grid), poly_eval(M.num, 1j * grid))
+                    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite scan is reported by _best_index
+                        den, num = poly_eval(M.den, 1j * grid), poly_eval(M.num, 1j * grid)
+                    log_t = _family_log_gains(template, sizes, den, num)
                 with np.errstate(over="ignore"):  # an overflow is reported by _best_index
                     mags = np.exp(log_t[n])
                 if np.isnan(mags).any():
-                    mags = np.concatenate([np.abs(product_response(cfg, w)) for w in _column_blocks(grid, n - 1)])
+                    mags = np.abs(product_response(cfg, grid))
                 searches.append(_refine(grid, _best_index(grid, mags)))
             except Exception as exc:  # raised once every earlier size has run its later stages
                 error = exc
@@ -392,15 +396,16 @@ def verify_eigen_identities(cfg: PlatoonConfig) -> tuple[np.ndarray, float]:
 
 def frequency_series(cfg: PlatoonConfig, n_points: int = 400,
                      omega_band: tuple[float, float] = DEFAULT_OMEGA_BAND) -> FreqSeries:
-    """Leader-to-last-vehicle frequency response mu_2*T on a log grid, evaluated in blocks of ~256 KiB.
+    """Leader-to-last-vehicle frequency response mu_2*T on a log grid, from one :func:`product_response`.
 
     Where the product of blocks leaves double range (n of a few thousand) or
     Horner evaluation of M overflows (a very wide band), a value is NaN or
     infinite; such values are kept, and one warning says how many there are.
     """
     grid = _scan_grid(*omega_band, n_points)
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are counted below
-        values = cfg.gains[0] * np.concatenate([product_response(cfg, w) for w in _column_blocks(grid, cfg.n - 1)])
+    values = product_response(cfg, grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # complex mu_2 * inf has a NaN part; it is counted below
+        values = cfg.gains[0] * values
     bad = np.count_nonzero(~np.isfinite(values))
     if bad:
         logger.warning("%d of %d frequency response values are not finite; they are kept as computed",

@@ -4,7 +4,8 @@ Coefficients are stored ascending: ``coeffs[k]`` multiplies ``s**k``, so the
 index equals the power.  The zero polynomial is represented as ``(0.0,)``.
 No pole-zero cancellation is ever performed on rational functions; a common
 factor between numerator and denominator is kept verbatim because cancelling
-it could hide an unstable mode from later stability checks.
+it could hide an unstable mode from later stability checks.  :func:`_groups` is
+the one block rule: the product form's work goes in runs of ~256 KiB.
 """
 
 from __future__ import annotations
@@ -32,15 +33,20 @@ def _row_degrees(coeffs) -> np.ndarray:
     return np.where(kept.any(axis=-1), top, 0)
 
 
-# Bytes of the complex rows-by-block array that one block of _column_blocks
-# may hold.
+# Bytes of complex values that one run of _groups may hold.
 _BLOCK_BYTES = 1 << 18
 
 
-def _column_blocks(grid: np.ndarray, rows: int) -> list[np.ndarray]:
-    """``grid`` in consecutive blocks whose ``rows``-by-block complex array holds about _BLOCK_BYTES."""
-    k = -(-16 * rows * grid.size // _BLOCK_BYTES)
-    return np.array_split(grid, max(1, min(grid.size, k)))
+def _groups(lengths):
+    """Consecutive ``(start, stop)`` runs of ``lengths`` whose complex rows fill at most _BLOCK_BYTES, or one row."""
+    start = held = 0
+    for k, n in enumerate(lengths):
+        if k > start and held + 16 * n > _BLOCK_BYTES:
+            yield start, k
+            start, held = k, 0
+        held += 16 * n
+    if start < len(lengths):
+        yield start, len(lengths)
 
 
 def _normalize(coeffs) -> tuple[float, ...]:

@@ -2,7 +2,8 @@
 (R. P. Brent, *Algorithms for Minimization without Derivatives*, 1973) on the
 best scan point's cell pair, as a generator of probes that :func:`_lockstep`
 drives: one search at a time (:func:`hinf_norm`), or every size of a sweep in
-rounds, with a round's product-form probes in one buffer (:func:`_probe_values`).
+rounds.  :func:`_probe_values` is the one evaluator of the product form, for
+grids and rounds alike.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-from .numerics import _BLOCK_BYTES, poly_eval
+from .numerics import _groups, poly_eval
 from .platoon import ConfigError
 
 DEFAULT_OMEGA_BAND = (1e-3, 1e3)
@@ -149,49 +150,36 @@ def _lockstep(searches, evaluate):
     return peaks, error
 
 
-def _size_groups(sizes):
-    """``sizes`` in runs whose n - 1 complex values fill at most _BLOCK_BYTES, or one size."""
-    group, held = [], 0
-    for n in sizes:
-        if group and held + 16 * (n - 1) > _BLOCK_BYTES:
-            yield group
-            group, held = [], 0
-        group.append(n)
-        held += 16 * (n - 1)
-    if group:
-        yield group
-
-
 def _probe_values(eigs, mu: float, M, omegas) -> tuple[np.ndarray, ConfigError | None]:
-    """The product form T(j*omegas[k]) with first gain ``mu`` and spectrum ``eigs``: one array for all
-    (a grid) or one per probe (a sweep's round).
+    """The product form T(j*omegas[k]) with first gain ``mu`` and spectrum ``eigs[k]`` (a grid repeats one array).
 
-    Each probe's z/lam_i is one contiguous row, of a 2-D array or of one flat
-    buffer, summed alone, so a probe has the same bits either way.  Returns the
-    values before the first probe at an axis pole, and that pole's ConfigError.
+    The probes go in runs of :func:`numerics._groups`; each probe's z/lam_i is
+    one contiguous row of its run's buffer, log1p'd and summed alone, so it has
+    the same bits in any run.  A value that overflows (in Horner's rule or exp)
+    is returned non-finite for the caller to report.  Returns the values before
+    the first probe at an axis pole, and that pole's ConfigError.
     """
     w = np.array(omegas, dtype=float)
-    a, b = poly_eval(M.den, 1j * w), poly_eval(M.num, 1j * w)
-    z_inf = (b == 0) | np.isinf(a)
-    with np.errstate(divide="ignore", invalid="ignore"):  # where z is infinite, T is 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # values stay non-finite; T = 0 at z = inf
+        a, b = poly_eval(M.den, 1j * w), poly_eval(M.num, 1j * w)
+        z_inf = (b == 0) | np.isinf(a)
         z = np.where(z_inf, 0.0, a / b)
-    if isinstance(eigs, np.ndarray):
-        x = rows = z[:, None] / eigs
-    else:
-        ends = list(itertools.accumulate(lam.size for lam in eigs))
-        x = np.empty(ends[-1] if ends else 0, dtype=complex)
-        rows = [x[end - lam.size:end] for lam, end in zip(eigs, ends)]
-        for zk, lam, row in zip(z, eigs, rows):
-            np.divide(zk, lam, out=row)
-    pole = z_inf & (a == 0)
-    if (x == -1).any():
-        pole |= [(row == -1).any() for row in rows]
-    first = int(np.argmax(pole)) if pole.any() else w.size
-    for row in rows[first:]:  # not returned: zeroed, so that no log or exp warns
-        row[:] = 0
-    np.log1p(x, out=x)
-    sums = x.sum(axis=-1) if x.ndim > 1 else np.array([row.sum() for row in rows], dtype=complex)
-    values = np.where(z_inf, 0.0, np.exp(-sums) / mu)[:first]
+        pole = z_inf & (a == 0)
+        first = int(np.argmax(pole)) if pole.any() else w.size
+        sums = np.zeros(w.size, dtype=complex)
+        for start, stop in _groups([lam.size for lam in eigs]):
+            if start >= first:
+                break
+            run = eigs[start:stop]
+            ends = list(itertools.accumulate(lam.size for lam in run))
+            x = np.empty(ends[-1], dtype=complex)
+            rows = [np.divide(zk, lam, out=x[end - lam.size:end]) for zk, lam, end in zip(z[start:], run, ends)]
+            if (x == -1).any():
+                first = min(first, start + next(k for k, row in enumerate(rows) if (row == -1).any()))
+            np.log1p(x, out=x)
+            sums[start:stop] = [row.sum() for row in rows]
+            del x, rows  # before the next run's buffer is allocated, so that one run's is held at a time
+        values = np.where(z_inf, 0.0, np.exp(-sums) / mu)[:first]
     if first < w.size:
         return values, ConfigError(f"response undefined at omega={w[first]}: closed-loop pole on the imaginary axis")
     return values, None

@@ -117,3 +117,34 @@ def dense_reduced_eigs(cfg):
     """Independent oracle: dense general eigensolver on the reduced Laplacian."""
     R = build_laplacian(cfg)[1:, 1:]
     return np.sort(np.linalg.eigvals(R).real)
+
+
+def sturm_fiedler(cfg, dps=40):
+    """Independent oracle for strongly non-normal configs: the smallest eigenvalue of the exact reduced Laplacian.
+
+    The matrix comes from (mu, eps) in ``dps``-digit mpmath, not from the float
+    bands, and is symmetrized: diagonal mu_k(1 + eps_k), squared off-diagonal
+    mu_{k+1} mu_k eps_k.  Bisection on [0, min diagonal] counts the negative
+    pivots of S - xI (Sturm's count of the eigenvalues below x).
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        mu, eps = [mpmath.mpf(g) for g in cfg.gains], [mpmath.mpf(e) for e in cfg.asymmetries]
+        diag = [m * (1 + e) for m, e in zip(mu, eps)]
+        off = [0] + [mu[k + 1] * mu[k] * eps[k] for k in range(len(mu) - 1)]
+        tiny = mpmath.mpf(10) ** (-2 * dps)
+
+        def below(x):
+            count, q = 0, 1
+            for d, e2 in zip(diag, off):
+                q = d - x - e2 / q
+                q = q or -tiny
+                count += q < 0
+            return count
+
+        lo, hi = mpmath.mpf(0), min(diag)
+        while hi - lo > hi * mpmath.mpf(10) ** (10 - dps):
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if below(mid) else (mid, hi)
+        return float((lo + hi) / 2)

@@ -495,9 +495,11 @@ class TestNonFiniteResponse:
 
     def test_wide_band_gamma_exits_2(self, tmp_path, capsys):
         path, out = write_doc(tmp_path, base_doc(**self.WIDE)), tmp_path / "out"
-        with np.errstate(over="ignore", invalid="ignore"):  # the Horner overflow itself warns
-            assert cli.main(["gamma", "--config", path, "--n-min", "20", "--n-max", "20", "--out", str(out)]) == 2
-        assert "config error: non-finite response at omega=9.94257" in capsys.readouterr().err
+        # the Horner overflow is reported once, as a config error; a RuntimeWarning would fail the test
+        assert cli.main(["gamma", "--config", path, "--n-min", "20", "--n-max", "20", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: non-finite response at omega=9.94257" in err
+        assert "RuntimeWarning" not in err
         assert not out.exists()
 
     def test_wide_band_harmonic_equals_the_default_band(self, tmp_path):

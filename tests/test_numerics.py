@@ -163,7 +163,18 @@ class TestRtfEval:
             assert tf_at(M, s) == pytest.approx(tf_at(C, s) * tf_at(G, s), rel=1e-12)
 
 
-class TestColumnBlocks:
-    def test_a_one_byte_budget_gives_one_frequency_per_block(self, monkeypatch):
+class TestGroups:
+    def test_a_one_byte_budget_gives_one_row_per_group(self, monkeypatch):
         monkeypatch.setattr(numerics, "_BLOCK_BYTES", 1)
-        assert [b.tolist() for b in numerics._column_blocks(np.arange(3.0), 2)] == [[0.0], [1.0], [2.0]]
+        assert list(numerics._groups([1, 2, 3])) == [(0, 1), (1, 2), (2, 3)]
+
+    def test_default_budget_is_greedy(self):
+        # four rows of 3999 complex values fill 255 936 of 262 144 bytes; a fifth would not fit
+        assert list(numerics._groups([3999] * 5)) == [(0, 4), (4, 5)]
+
+    def test_a_row_above_the_budget_is_alone(self):
+        big = numerics._BLOCK_BYTES // 16 + 1
+        assert list(numerics._groups([1, big, 1, 1])) == [(0, 1), (1, 2), (2, 4)]
+
+    def test_no_rows_give_no_groups(self):
+        assert list(numerics._groups([])) == []
