@@ -14,6 +14,7 @@ from .platoon import (
     spectrum_report,
 )
 from .blockpeak import kappa_modulus_sq
+from .peaksearch import hinf_norm
 from .closedform import ThetaRoots, closedform_eigenvalues, solve_thetas
 from .analysis import (
     FreqSeries,
@@ -23,7 +24,6 @@ from .analysis import (
     frequency_series,
     gamma_sequence,
     harmonic_test,
-    hinf_norm,
     instantiate_family,
     open_loop,
     product_response,

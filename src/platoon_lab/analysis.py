@@ -7,12 +7,13 @@ with ``M = C*G`` the per-vehicle open loop.  This module tests the blocks'
 stability against the open loop's stable gain intervals (:mod:`blockpeak`)
 with no pole solve per eigenvalue, evaluates the product from the eigenvalue
 vector alone with z = 1/M, one complex log per block, in one bounded evaluator
-for grids, single frequencies and a sweep's rounds alike, provides the full
-interconnected state-space response as an independent oracle, runs size
-sweeps in lockstep (:mod:`peaksearch`), and runs the harmonic-instability
-test: when the spectrum admits a size-independent positive lower bound and
-the closed-loop block at that bound has a peak gain above one, the platoon's
-peak gain grows at least geometrically with the vehicle count.
+for grids, single frequencies and a sweep's rounds alike, builds the one
+interconnected state-space realization, which the independent oracle solves
+and :mod:`sim` integrates, runs size sweeps in lockstep (:mod:`peaksearch`),
+and runs the harmonic-instability test: when the spectrum admits a
+size-independent positive lower bound and the closed-loop block at that bound
+has a peak gain above one, the platoon's peak gain grows at least
+geometrically with the vehicle count.
 """
 
 from __future__ import annotations
@@ -29,15 +30,14 @@ from scipy.linalg.lapack import zgbsv
 from .blockpeak import _block_growth, _blocks_stable, _closed_loop_dens
 from .numerics import RationalTF, _groups, poly_eval
 from .peaksearch import DEFAULT_OMEGA_BAND, _best_index, _lockstep, _probe_values, _refine, _scan_grid
-from .peaksearch import hinf_norm  # noqa: F401
 from .platoon import (
     ConfigError,
     PlatoonConfig,
     SpectrumReport,
-    _coupled_bands,
     _family_log_gains,
     build_laplacian,
     instantiate_family,
+    laplacian_bands,
     spectrum_report,
 )
 
@@ -175,39 +175,21 @@ def product_response(cfg: PlatoonConfig, omega):
     return complex(values[0]) if w.ndim == 0 else values.reshape(w.shape)
 
 
-def controllable_canonical(tf: RationalTF) -> tuple[np.ndarray, np.ndarray]:
-    """Controllable-canonical realization of a strictly proper tf, as two rows (a, c).
-
-    A_m has a unit superdiagonal and last row ``a``, B_m is the last unit
-    vector and C_m is ``c``.  The position output has no direct feedthrough,
-    so the numerator degree must be below the denominator degree, which
-    must be positive.
-    """
-    if tf.den.degree == 0 or tf.num.degree >= tf.den.degree and not tf.num.is_zero:
-        raise ConfigError(
-            "open loop must be proper: numerator degree "
-            f"{tf.num.degree} is not below denominator degree {tf.den.degree}"
-        )
-    den = np.asarray(tf.den.coeffs)
-    num = np.asarray(tf.num.coeffs)
-    c = np.zeros(len(den) - 1)
-    c[:len(num)] = num / den[-1]
-    return -(den[:-1] / den[-1]), c
-
-
 @lru_cache(maxsize=32)
 def _oracle_realization(cfg: PlatoonConfig) -> tuple[np.ndarray, np.ndarray]:
     """Reduced-platoon realization driven by the leader: A in band storage, and C_m.
 
-    Each vehicle carries a controllable-canonical realization of the open
-    loop M = C*G, and the vehicles are coupled through the reduced
-    Laplacian, so A = I (x) A_m - R (x) B_m C_m.  The leader's position
-    enters vehicle 2 through B = mu_2 e_m, and C_m reads one vehicle's
-    position from its m states.  With m the open-loop order, A is block
-    tridiagonal with lower bandwidth 2m-1 and upper bandwidth m, so its bands
-    take O(n*m**2) floats where the dense A takes ((n-1)*m)**2 (see
-    :func:`platoon._coupled_bands`).  Cached per config for the oracle, so
-    both arrays are read-only; :func:`sim.simulate` builds them uncached.
+    The one builder of A = I (x) A_m - R (x) B_m C_m, R the reduced
+    Laplacian: each vehicle carries the controllable-canonical realization
+    of the open loop M = C*G, with A_m's unit superdiagonal and last row
+    -den[:-1]/den[-1], B_m = e_m and C_m = c = num/den[-1].  The leader's
+    position enters vehicle 2 through B = mu_2 e_m.  Only the last row of a
+    vehicle's block row couples, to vehicles i-1, i, i+1 through -R[i, j] c,
+    so with m = len(c) A has lower bandwidth 2m-1 and upper bandwidth m; ab
+    is its 3m-by-(n-1)m LAPACK band storage, A[i, j] = ab[m + i - j, j]:
+    O(n*m**2) floats where the dense A takes ((n-1)*m)**2.  The oracle solves
+    with it and :func:`sim.stream` integrates it, from one cached, read-only
+    copy per config.
 
     Raises
     ------
@@ -216,8 +198,24 @@ def _oracle_realization(cfg: PlatoonConfig) -> tuple[np.ndarray, np.ndarray]:
         below its denominator degree (the position output has no
         feedthrough).
     """
-    a, c = controllable_canonical(open_loop(cfg))
-    ab = _coupled_bands(cfg, a, c)
+    M = open_loop(cfg)
+    if M.den.degree == 0 or M.num.degree >= M.den.degree and not M.num.is_zero:
+        raise ConfigError(
+            "open loop must be proper: numerator degree "
+            f"{M.num.degree} is not below denominator degree {M.den.degree}"
+        )
+    den, num = np.asarray(M.den.coeffs), np.asarray(M.num.coeffs)
+    m = den.size - 1
+    a, c = -(den[:-1] / den[-1]), np.zeros(m)
+    c[:num.size] = num / den[-1]
+    sub, diag, sup = laplacian_bands(cfg)
+    ab = np.zeros((3 * m, cfg.n - 1, m))  # ab[r, v, k] is band row r at vehicle v's state k
+    ab[m - 1, :, 1:] = 1.0  # A_m's unit superdiagonal
+    for k in range(m):
+        ab[2 * m - 1 - k, :, k] = a[k] - diag * c[k]
+        ab[3 * m - 1 - k, :-1, k] = -(sub * c[k])
+        ab[m - 1 - k, 1:, k] = -(sup * c[k])
+    ab = ab.reshape(3 * m, -1)
     ab.flags.writeable = c.flags.writeable = False
     return ab, c
 
@@ -315,7 +313,7 @@ def gamma_sequence(template: PlatoonConfig, n_list,
                    omega_band: tuple[float, float] = DEFAULT_OMEGA_BAND) -> list[GammaPoint]:
     """Peak platoon gain for each size in ``n_list``.
 
-    Each point is bit for bit :func:`hinf_norm` of :func:`product_response`
+    Each point is bit for bit :func:`peaksearch.hinf_norm` of :func:`product_response`
     and :func:`zeta_min` for its size, and a sweep raises the first error a
     loop over the sizes would.  The scans come from one continuant pass
     (:func:`platoon._family_log_gains`), or, where it is NaN, from the product.

@@ -21,7 +21,7 @@ from scipy.linalg.blas import dgbmv
 
 from .analysis import _oracle_realization, open_loop
 from .blockpeak import _block_poles, _closed_loop_dens
-from .platoon import ConfigError, PlatoonConfig, _band_product, _check_fits, spectrum_report
+from .platoon import ConfigError, PlatoonConfig, _check_fits, spectrum_report
 
 logger = logging.getLogger(__name__)
 
@@ -135,11 +135,24 @@ def dt_limit(cfg: PlatoonConfig) -> float | None:
     return min(limits, default=None)
 
 
+def _band_product(ab: np.ndarray, upper: int, x: np.ndarray) -> np.ndarray:
+    """``A @ x`` for A in LAPACK band storage, ``A[i, j] = ab[upper + i - j, j]``, one band row at a time."""
+    dim = ab.shape[1]
+    y = np.zeros(dim)
+    for r, band in enumerate(ab):
+        k = upper - r  # this band row holds A[j - k, j]
+        lo, hi = max(k, 0), min(dim, dim + k)
+        if lo < hi:  # a band row whose offset reaches dim holds no entry
+            y[lo - k:hi - k] += band[lo:hi] * x[lo:hi]
+    return y
+
+
 def _rk4_step(ab, B, h, x, u0, u_half, u1):
     """One classic 4th-order step of x' = A x + B u with u(t), u(t+h/2), u(t+h) given.
 
-    ``ab`` is A in the band storage of :func:`platoon._coupled_bands`: 3m
-    band rows, m of them above the diagonal.
+    ``ab`` is A in the band storage of :func:`analysis._oracle_realization`:
+    3m band rows, m of them above the diagonal, applied by
+    :func:`_band_product`.
     """
     A = partial(_band_product, ab, ab.shape[0] // 3)
     k1 = A(x) + B * u0
@@ -153,8 +166,9 @@ def _rk4_step(ab, B, h, x, u0, u_half, u1):
 def _propagator(ab, B, h):
     """(TB, G) with _rk4_step(ab, B, h, x, *w) == T @ x + G @ w for w = (u0, u_half, u1).
 
-    A has lower bandwidth 2m-1 and upper bandwidth m (m = len(ab) / 3), and
-    T is a quartic in A, so column j of T is zero outside rows j-4m ..
+    ``ab`` is the read-only band storage of
+    :func:`analysis._oracle_realization`: A has lower bandwidth 2m-1 and
+    upper bandwidth m (m = len(ab) / 3), and T is a quartic in A, so column j of T is zero outside rows j-4m ..
     j+4(2m-1): TB is T in LAPACK band storage, T[i, j] = TB[4m + i - j, j].
     Columns W = 12m-3 apart never share a row at any RK4 stage, so one step
     on the sum of every W-th unit vector gives all of their columns at once,
@@ -180,10 +194,11 @@ def stream(sc: SimScenario):
     The checks run before this returns; ``blocks`` then yields (times,
     positions) row blocks, row 0 first.  Each step is x <- T x + G w,
     w = (u(t), u(t+h/2), u(t+h)): one ``dgbmv`` with the banded T of
-    :func:`_propagator` into a row of ``w @ G.T``.  The leader signal is
-    sampled and the positions ``X.reshape(-1, m) @ c`` (c the open loop's
-    output row) are read once per block of about 64 KiB of states, so
-    memory is linear in the state.
+    :func:`_propagator`, built from the cached realization of
+    :func:`analysis._oracle_realization`, into a row of ``w @ G.T``.  The
+    leader signal is sampled and the positions ``X.reshape(-1, m) @ c`` (c
+    the open loop's output row) are read once per block of about 64 KiB of
+    states, so memory is linear in the state.
 
     Raises ConfigError when dt exceeds the admissible step (naming it) or
     RK4 amplifies a decaying pole p, |R(h*p)| > 1 with R(z) = 1 + z + z**2/2
@@ -216,7 +231,7 @@ def stream(sc: SimScenario):
             logger.warning("unstable closed-loop blocks: capping t_end from %g to %g", t_end, t_cap)
             t_end = t_cap
 
-    ab, c = _oracle_realization.__wrapped__(cfg)  # uncached: needed only to build T
+    ab, c = _oracle_realization(cfg)
     m, nn = c.size, cfg.n - 1
     B = np.zeros(ab.shape[1])
     B[m - 1] = cfg.gains[0]

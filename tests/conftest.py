@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from platoon_lab import PlatoonConfig, Polynomial, RationalTF, build_laplacian, hinf_norm, open_loop, poly_eval
-from platoon_lab.analysis import _closed_loop_dens, controllable_canonical
-from platoon_lab.blockpeak import _STABLE_RE, _block_peaks
+from platoon_lab.blockpeak import _STABLE_RE, _block_peaks, _closed_loop_dens
 from platoon_lab.numerics import _as_poly, companion_roots
 
 # Benchmark models used throughout: a double-integrator vehicle with a
@@ -99,18 +98,35 @@ def block_stable(tf):
 def kron_state_space(cfg):
     """Dense reference realization (A, B, C): I (x) A_m - R (x) B_m C_m assembled with Kronecker products.
 
-    The leader's position enters vehicle 2 with gain mu_2, and row i of C
-    reads vehicle i + 2's position.
+    A_m, B_m, C_m is the controllable-canonical realization of the open loop
+    num/den, taken from its coefficients here: A_m has a unit superdiagonal
+    and last row -den[:-1]/den[-1], B_m is the last unit vector and C_m is
+    num/den[-1], zero-padded.  The leader's position enters vehicle 2 with
+    gain mu_2, and row i of C reads vehicle i + 2's position.
     """
-    a, Cm = controllable_canonical(open_loop(cfg))
-    nn, m = cfg.n - 1, Cm.size
+    M = open_loop(cfg)
+    den, num = np.asarray(M.den.coeffs), np.asarray(M.num.coeffs)
+    nn, m = cfg.n - 1, den.size - 1
     Am = np.eye(m, k=1)
-    Am[-1] = a
+    Am[-1] = -(den[:-1] / den[-1])
+    Cm = np.zeros(m)
+    Cm[:num.size] = num / den[-1]
     Bm = np.eye(m)[-1]
     R = build_laplacian(cfg)[1:, 1:]
     B = np.zeros(nn * m)
     B[:m] = cfg.gains[0] * Bm
     return np.kron(np.eye(nn), Am) - np.kron(R, np.outer(Bm, Cm)), B, np.kron(np.eye(nn), Cm)
+
+
+def banded_matrix(ab, upper):
+    """Dense square matrix from LAPACK band storage, ``A[i, j] = ab[upper + i - j, j]``, zeros elsewhere."""
+    dim = ab.shape[1]
+    A = np.zeros((dim, dim))
+    for r, band in enumerate(ab):
+        k = upper - r  # this band row holds A[j - k, j]
+        j = np.arange(max(k, 0), min(dim, dim + k))
+        A[j - k, j] = band[j]
+    return A
 
 
 def dense_reduced_eigs(cfg):

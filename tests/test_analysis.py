@@ -386,7 +386,7 @@ class TestBlockPeak:
         def forbidden(*args, **kwargs):
             raise AssertionError("a grid search ran")
 
-        for name in ("_scan_grid", "_refine", "hinf_norm"):
+        for name in ("_scan_grid", "_refine"):
             monkeypatch.setattr(analysis, name, forbidden)
         for eps in (0.5, 1.0):
             cfg = make_cfg(20, eps=eps)
@@ -534,6 +534,13 @@ class TestGammaSequence:
         for p in pts:
             assert p.zeta_min_lower is not None
             assert p.gamma >= p.zeta_min_lower ** (p.n - 1)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP Known defect: at n = 2 the product form's peak "
+                       "4.209417323741478 rounds below the block bound 4.209417323741479")
+    def test_block_bound_holds_at_two_vehicles(self):
+        (p,) = gamma_sequence(make_cfg(20, eps=0.5), [2])
+        assert p.zeta_min_lower is not None
+        assert p.gamma >= p.zeta_min_lower ** (p.n - 1)
 
     def test_instantiate_family_cycles_rules(self):
         template = PlatoonConfig(n=4, gains=(1.0, 2.0, 3.0), asymmetries=(0.1, 0.2, 0.0),

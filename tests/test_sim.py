@@ -23,13 +23,13 @@ from platoon_lab import (
     spectrum_report,
 )
 from platoon_lab.analysis import _oracle_realization, _prepared
-from platoon_lab.platoon import banded_matrix
 from platoon_lab.sim import _pole_pass
 
 from conftest import (
     BAD_CONTROLLER,
     CONTROLLER,
     VEHICLE,
+    banded_matrix,
     block_stable,
     kron_state_space,
     make_block,
@@ -145,6 +145,14 @@ class TestBuildStateSpace:
                     lambda: direct_response(cfg, 1.0)):
             with pytest.raises(ConfigError, match="open loop must be proper"):
                 run()
+
+    def test_oracle_and_simulation_share_one_realization(self):
+        cfg = make_cfg(6, eps=0.4)
+        _oracle_realization.cache_clear()
+        direct_response(cfg, 1.0)
+        simulate(SimScenario(cfg=cfg, leader_signal=StepSignal(1.0), t_end=0.1, dt=0.01))
+        info = _oracle_realization.cache_info()
+        assert info.misses == 1 and info.hits >= 1
 
 
 class TestSignals:
