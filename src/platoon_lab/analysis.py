@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg.lapack import zgbsv
 
 from .blockpeak import _block_growth, _blocks_stable, _closed_loop_dens
-from .numerics import RationalTF, _groups, poly_eval
+from .numerics import RationalTF, _axis_pair, _groups
 from .peaksearch import DEFAULT_OMEGA_BAND, _best_index, _lockstep, _probe_values, _refine, _scan_grid
 from .platoon import (
     ConfigError,
@@ -158,8 +158,8 @@ def product_response(cfg: PlatoonConfig, omega):
     one complex log per block (:func:`peaksearch._probe_values`, which holds
     about 256 KiB of logs at a time).  Each frequency's logs are one contiguous
     row, which numpy sums pairwise, so a frequency gets the same bits alone as
-    in any grid.  T is exactly 0 where z is infinite: num(M) = 0 or den(M)
-    overflows.  A value that leaves double range is NaN or infinite, unwarned.
+    in any grid.  T is exactly 0 where z is infinite or beyond double range
+    (a wide band).  A value that leaves double range is NaN or infinite, unwarned.
 
     Raises
     ------
@@ -329,9 +329,7 @@ def gamma_sequence(template: PlatoonConfig, n_list,
                 cfg = instantiate_family(template, n)
                 rep, M, _ = _prepared(cfg)
                 if log_t is None:  # one pass serves every size
-                    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite scan is reported by _best_index
-                        den, num = poly_eval(M.den, 1j * grid), poly_eval(M.num, 1j * grid)
-                    log_t = _family_log_gains(template, sizes, den, num)
+                    log_t = _family_log_gains(template, sizes, *_axis_pair(M.den.coeffs, M.num.coeffs, grid))
                 with np.errstate(over="ignore"):  # an overflow is reported by _best_index
                     mags = np.exp(log_t[n])
                 if np.isnan(mags).any():
@@ -396,9 +394,8 @@ def frequency_series(cfg: PlatoonConfig, n_points: int = 400,
                      omega_band: tuple[float, float] = DEFAULT_OMEGA_BAND) -> FreqSeries:
     """Leader-to-last-vehicle frequency response mu_2*T on a log grid, from one :func:`product_response`.
 
-    Where the product of blocks leaves double range (n of a few thousand) or
-    Horner evaluation of M overflows (a very wide band), a value is NaN or
-    infinite; such values are kept, and one warning says how many there are.
+    Where the product of blocks leaves double range (n of a few thousand), a
+    value is NaN or infinite; such values are kept, and one warning says how many.
     """
     grid = _scan_grid(*omega_band, n_points)
     values = product_response(cfg, grid)

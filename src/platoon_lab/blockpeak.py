@@ -3,13 +3,13 @@
 The blocks' denominators den(M) + lam*num(M), one row per gain.  The peak gain of a block:
 |T(jw)|**2 = P(x)/Q(x) in x = w**2, so the peak over a band lies at a band edge, at DC or at a
 root of P'Q - PQ'; the blocks of many gains (every size of a sweep) take one stacked root solve
-and one elementwise evaluation of their candidates, with the bits each block gets alone, and
-the block modulus at the peak frequency bounds the growth over the spectrum.  Stability over
-every gain at once: the gains lam > 0 at which den(M) + lam*num(M) has every root left of
-Re s = -1e-9 are a union of intervals between the gains where a root crosses that line
-(Neimark's D-decomposition; see Gryazina & Polyak, "Stability regions in the parameter space:
-D-decomposition revisited", Automatica 42, 2006), so a spectrum is tested by membership, and
-poles are solved only for the blocks that need them.
+and one evaluation of their candidates on the axis (:func:`numerics._axis_pair`), with the bits
+each block gets alone, and the block modulus at the peak frequency bounds the growth over the
+spectrum.  Stability over every gain at once: the gains lam > 0 at which den(M) + lam*num(M)
+has every root left of Re s = -1e-9 are a union of intervals between the gains where a root
+crosses that line (Neimark's D-decomposition; see Gryazina & Polyak, "Stability regions in the
+parameter space: D-decomposition revisited", Automatica 42, 2006), so a spectrum is tested by
+membership, and poles are solved only for the blocks that need them.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import RationalTF, _row_degrees, companion_roots, poly_eval
+from .numerics import RationalTF, _axis_pair, _row_degrees, companion_roots
 from .platoon import ConfigError
 
 # A closed-loop pole is stable when its real part is below this.
@@ -30,34 +30,19 @@ _STABLE_RE = -1e-9
 _EDGE_REL = 1e-8
 
 
-def _ratio_at(num, den, w: np.ndarray) -> np.ndarray:
-    """``num(jw) / den(jw)`` for ascending coefficients and ``w >= 0``, not finite at a pole; above
-    w = 1 from the reversed coefficients at 1/(jw), times (jw)**(deg num - deg den), so that no
-    power of w overflows.  ``num`` and ``den`` are one polynomial each, or one row per frequency."""
-    num, den = np.asarray(num), np.asarray(den)
-    out = np.empty(w.size, dtype=complex)
-    low, k = w <= 1.0, num.shape[-1] - den.shape[-1]
-    s, u = 1j * w[low], 1 / (1j * w[~low])
-    (nlo, dlo), (nhi, dhi) = ((num[m], den[m]) if num.ndim > 1 else (num, den) for m in (low, ~low))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # the caller checks finiteness
-        # np.polyval takes one coefficient, or one column of them, at a time, the highest power first
-        out[low] = _quotient(np.polyval(nlo.T[::-1], s), np.polyval(dlo.T[::-1], s))
-        out[~low] = _quotient(np.polyval(nhi.T, u), np.polyval(dhi.T, u)) * w[~low] ** float(k) * 1j ** k
-    return out
-
-
 def _quotient(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``p / q`` by Smith's method with true divisions, NaN where q is 0.
+    """``p / q`` by Smith's method with true divisions, unwarned: not finite at q = 0 or beyond range.
 
     numpy's complex quotient multiplies by a rounded reciprocal, so that a real lam/lam can come
     out as 1 - 2**-53; here a real quotient is one real division, and equal gains stay equal.
     """
     flip = np.abs(q.imag) > np.abs(q.real)  # then p/q = (-jp)/(-jq), and |Re(-jq)| > |Im(-jq)|
     p, q = np.where(flip, -1j * p, p), np.where(flip, -1j * q, q)
-    t = q.imag / q.real
-    d = q.real + q.imag * t
     out = np.empty(p.shape, dtype=complex)
-    out.real, out.imag = (p.real + p.imag * t) / d, (p.imag - p.real * t) / d
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t = q.imag / q.real
+        d = q.real + q.imag * t
+        out.real, out.imag = (p.real + p.imag * t) / d, (p.imag - p.real * t) / d
     return out
 
 
@@ -99,11 +84,10 @@ def _block_peaks(nums: np.ndarray, dens: np.ndarray, lo: float, hi: float) -> tu
         cands = [[lo, *sorted(w for w in map(math.sqrt, (v for v in row if v > 0)) if lo < w < hi), hi, 0.0]
                  for row in x.tolist()]
         owner = [r for r, cand in enumerate(cands) for _ in cand]
-        mag = np.abs(_ratio_at(num[owner], den[owner], np.array([w for cand in cands for w in cand]))).tolist()
-        start = 0
+        pair = _axis_pair(num[owner], den[owner], [w for cand in cands for w in cand])
+        mags = iter(np.abs(_quotient(*pair)).tolist())
         for row, cand in zip(rows.tolist(), cands):
-            m = mag[start:start + len(cand)]
-            start += len(cand)
+            m = [next(mags) for _ in cand]
             bad = [w for w, g in zip(cand, m) if not math.isfinite(g)]
             if bad:
                 omegas[row] = bad[0]
@@ -144,7 +128,7 @@ def _block_growth(lams, lam_max, M: RationalTF, band: tuple[float, float]) -> li
     peaks, omegas = _block_peaks(lams[:, None] * np.asarray(M.num.coeffs), _closed_loop_dens(M, lams), *band)
     out = []
     for lam, top, gamma, w0, m in zip(lams.tolist(), lam_max, peaks, omegas,
-                                      _ratio_at(M.num.coeffs, M.den.coeffs, np.array(omegas)).tolist()):
+                                      _quotient(*_axis_pair(M.num.coeffs, M.den.coeffs, omegas)).tolist()):
         if math.isnan(gamma):
             raise ConfigError(f"non-finite response at omega={w0}")
         ab = lam * m
@@ -200,10 +184,11 @@ def _stable_gains(M: RationalTF) -> tuple[float, tuple[float, ...], tuple]:
     With den and num scaled to a largest coefficient of 1, a gain lam is ``t = scale * lam``.
     A root crosses Re s = sigma = -1e-9 only at the real t = -den(s)/num(s) where
     s = sigma + jw and Im[den(s) * conj(num(s))] = 0; that imaginary part is w times a real
-    polynomial in w**2, whose near-real roots are all taken.  The leading coefficient vanishes
-    at t = -den[-1]/num[-1] when the degrees are equal.  ``ends`` are these crossings, sorted,
-    and ``verdicts[i]`` holds for the interval below ``ends[i]`` (the last one is unbounded):
-    True when every root at its test point lies left of sigma.  A verdict is None, and the
+    polynomial in w**2, whose near-real roots are all taken, and den and num Taylor-shifted to
+    sigma give every such t on the axis at once (:func:`numerics._axis_pair`).  The leading
+    coefficient vanishes at t = -den[-1]/num[-1] when the degrees are equal.  ``ends`` are these
+    crossings, sorted, and ``verdicts[i]`` holds for the interval below ``ends[i]`` (the last one
+    is unbounded): True when every root at its test point lies left of sigma.  A verdict is None, and the
     interval unclassified, when that point's denominator is not finite or trims to a lower
     degree, or when a root lies within 1e-8 times the largest root's modulus of sigma, closer
     than the companion solve can resolve.
@@ -219,17 +204,12 @@ def _stable_gains(M: RationalTF) -> tuple[float, tuple[float, ...], tuple]:
         shifted.append(q)
     d, n = shifted
     # d(s)n(-s) = sum_m p_m s**m, and Im at s = jw is sum over odd m of (-1)**((m-1)/2) p_m w**m
-    n[1::2] *= -1.0
-    h = np.convolve(d, n)[1::2]
+    h = np.convolve(d, n * np.resize([1.0, -1.0], n.size))[1::2]
     h[1::2] *= -1.0
     deg = int(_row_degrees(h)) if h.size else 0
     x = companion_roots(h[:deg + 1]) if deg else np.empty(0)
-    scale = float(nmax / dmax)
-    ends = set()
-    for w in [0.0, *(math.sqrt(r) for r in x.real[np.abs(x.imag) <= 1e-6 * x.real])]:
-        s = complex(_STABLE_RE, w)
-        a, b = poly_eval(M.den, s), poly_eval(M.num, s)
-        ends.add(-(a / b).real * scale if b else math.nan)
+    w = np.sqrt(np.r_[0.0, x.real[np.abs(x.imag) <= 1e-6 * x.real]])
+    ends = set((-_quotient(*_axis_pair(d, n, w)).real).tolist())  # a non-finite t is no crossing
     if den.size == num.size and num[-1]:
         ends.add(float(-den[-1] / num[-1]))
     ends = sorted(t for t in ends if 0 < t < math.inf)
@@ -249,7 +229,7 @@ def _stable_gains(M: RationalTF) -> tuple[float, tuple[float, ...], tuple]:
             if not np.any(np.abs(roots.real - _STABLE_RE) <= reach):
                 verdict = bool(np.all(roots.real < _STABLE_RE))
         verdicts.append(verdict)
-    return scale, tuple(ends), tuple(verdicts)
+    return float(nmax / dmax), tuple(ends), tuple(verdicts)
 
 
 def _blocks_stable(M: RationalTF, lams: np.ndarray, dens: np.ndarray) -> bool:

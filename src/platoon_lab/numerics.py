@@ -4,8 +4,10 @@ Coefficients are stored ascending: ``coeffs[k]`` multiplies ``s**k``, so the
 index equals the power.  The zero polynomial is represented as ``(0.0,)``.
 No pole-zero cancellation is ever performed on rational functions; a common
 factor between numerator and denominator is kept verbatim because cancelling
-it could hide an unstable mode from later stability checks.  :func:`_groups` is
-the one block rule: the product form's work goes in runs of ~256 KiB.
+it could hide an unstable mode from later stability checks.  :func:`_axis_pair` is
+the one evaluator of such ratios on the imaginary axis.  Two rules bound memory:
+:func:`_groups` a run of the product form's logs (~256 KiB), ``sim._BLOCK_BYTES`` the
+states of a block of integration steps (64 KiB).
 """
 
 from __future__ import annotations
@@ -100,6 +102,26 @@ def poly_eval(p: Polynomial, s):
     for c in reversed(p.coeffs):
         acc = acc * s + c
     return acc
+
+
+def _axis_pair(p, q, w) -> tuple[np.ndarray, np.ndarray]:
+    """A finite pair ``(P, Q)`` with ``P/Q = p(jw)/q(jw)``, for ascending coefficients and ``w >= 0``.
+
+    ``p`` and ``q`` are one polynomial each, or one row per frequency.  One Horner loop runs at jw up
+    to w = 1, and above it on the reversed coefficients at u = 1/(jw), where the side of lower degree
+    (by width) takes u**|deg p - deg q| one factor at a time, which underflows to 0 where a power of
+    w would overflow: P/Q is not finite, with P nonzero, where p/q is infinite or beyond double range.
+    """
+    w = np.asarray(w, dtype=float)
+    high, x = w > 1.0, 1j * w
+    x[high] = 1 / x[high]
+    p, q = np.atleast_2d(p).T, np.atleast_2d(q).T  # a column per frequency, or one for all
+    c = np.zeros((max(len(p), len(q)), 2, max(p.shape[1], q.shape[1])))
+    c[:len(p), 0], c[:len(q), 1] = p, q  # a zero power adds nothing at jw, and a factor u above w = 1
+    acc = 0.0
+    for lo, hi in zip(c[::-1], c):  # the highest power first: of jw up to w = 1, of u above it
+        acc = acc * x + np.where(high, hi, lo)  # one power at a time is spread over the frequencies
+    return acc[0], acc[1]
 
 
 def companion_roots(coeffs) -> np.ndarray:

@@ -3,7 +3,7 @@
 best scan point's cell pair, as a generator of probes that :func:`_lockstep`
 drives: one search at a time (:func:`hinf_norm`), or every size of a sweep in
 rounds.  :func:`_probe_values` is the one evaluator of the product form, for
-grids and rounds alike.
+grids and rounds alike; it takes z = 1/M from :func:`numerics._axis_pair`.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .numerics import _groups, poly_eval
+from .numerics import _axis_pair, _groups
 from .platoon import ConfigError
 
 DEFAULT_OMEGA_BAND = (1e-3, 1e3)
@@ -153,17 +153,17 @@ def _lockstep(searches, evaluate):
 def _probe_values(eigs, mu: float, M, omegas) -> tuple[np.ndarray, ConfigError | None]:
     """The product form T(j*omegas[k]) with first gain ``mu`` and spectrum ``eigs[k]`` (a grid repeats one array).
 
-    The probes go in runs of :func:`numerics._groups`; each probe's z/lam_i is
-    one contiguous row of its run's buffer, log1p'd and summed alone, so it has
-    the same bits in any run.  A value that overflows (in Horner's rule or exp)
-    is returned non-finite for the caller to report.  Returns the values before
-    the first probe at an axis pole, and that pole's ConfigError.
+    z = a/b from the pair of :func:`numerics._axis_pair`: T = 0 where z is not finite, and an axis pole
+    where a = b = 0.  The probes go in runs of :func:`numerics._groups`; each probe's z/lam_i is one
+    contiguous row of its run's buffer, log1p'd and summed alone, so it has the same bits in any run.
+    A value that overflows in exp is returned non-finite for the caller to report.  Returns the
+    values before the first probe at an axis pole, and that pole's ConfigError.
     """
     w = np.array(omegas, dtype=float)
+    a, b = _axis_pair(M.den.coeffs, M.num.coeffs, w)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # values stay non-finite; T = 0 at z = inf
-        a, b = poly_eval(M.den, 1j * w), poly_eval(M.num, 1j * w)
-        z_inf = (b == 0) | np.isinf(a)
-        z = np.where(z_inf, 0.0, a / b)
+        z = a / b
+        z_inf = ~np.isfinite(z)  # their rows run non-finite, and T is set to 0 at the end
         pole = z_inf & (a == 0)
         first = int(np.argmax(pole)) if pole.any() else w.size
         sums = np.zeros(w.size, dtype=complex)

@@ -336,8 +336,8 @@ def instantiate_family(template: PlatoonConfig, n: int) -> PlatoonConfig:
 def _family_log_gains(template: PlatoonConfig, sizes, den: np.ndarray, num: np.ndarray) -> dict[int, np.ndarray]:
     """log|T_n| at each scan frequency for every size n in ``sizes``, from one continuant pass.
 
-    ``den`` and ``num`` hold the open loop's denominator and numerator at the
-    scan frequencies, so that z = den/num = 1/M there.  T_n = det R_n /
+    ``den`` and ``num`` are the pair of :func:`numerics._axis_pair` whose
+    ratio is z = 1/M at the scan frequencies.  T_n = det R_n /
     (mu_2 * det(R_n + zI)) is the block product
     (1/mu_2) * prod_i lam_i / (lam_i + z) of the family member of size n
     (:func:`instantiate_family`).  Its R_n is the leading block of the
@@ -349,24 +349,24 @@ def _family_log_gains(template: PlatoonConfig, sizes, den: np.ndarray, num: np.n
     column at z = 0 gives log det R_n.  The pass takes O(N * F) time and
     O(F) memory for F frequencies, plus one row per size.
 
-    As in the block product, T is 0 (the row -inf) where z is infinite: num
-    is 0 or den is infinite, and den is not 0.  The row is NaN where the
-    pass breaks down, from that step on: at a pivot that is exactly zero (the
-    last one is a closed-loop pole on the imaginary axis) or not finite, and
-    where z is NaN, as at den = num = 0.  Such a pivot's log|r| is -inf, inf
-    or NaN, which leaves the running sum non-finite for good, so the sums
-    are taken unmasked and a size's sum is set to NaN only where it is not
-    finite when that size closes.  The pass emits no floating-point warning.
+    As in the block product, T is 0 (the row -inf) where z = den/num is not
+    finite, and the row is NaN at an axis pole, den = num = 0.  It is NaN
+    where the pass breaks down, from that step on: at a pivot that is exactly
+    zero (the last one is a closed-loop pole on the imaginary axis) or not
+    finite.  Such a pivot's log|r| is -inf, inf or NaN, which leaves the
+    running sum non-finite for good, so the sums are taken unmasked and a
+    size's sum is set to NaN only where it is not finite when that size
+    closes.  The pass emits no floating-point warning.
     """
     wanted = set(sizes)  # a size below 2 closes no determinant and gets no row
     n_max = max(wanted)
     cfg = instantiate_family(template, n_max)
     sub, diag, sup = laplacian_bands(cfg)
     mu = np.asarray(cfg.gains)
-    t_zero = ((num == 0) | np.isinf(den)) & (den != 0)
     rows, acc, r = {}, np.zeros(den.size + 1), None
-    with np.errstate(all="ignore"):  # 0/0 in z and overflowing band products turn NaN
-        zs = np.concatenate([[0.0], np.where(t_zero, 0.0, den / num)])
+    with np.errstate(all="ignore"):  # a non-finite z and overflowing band products turn NaN
+        zs = np.concatenate([[0.0], den / num])
+        t_zero = ~np.isfinite(zs[1:]) & (den != 0)  # their columns run non-finite, set to -inf as a size closes
         bc = sub * sup
         for k in range(n_max - 1):  # pivot k; the member of size k + 2 has k + 1 rows
             t = bc[k - 1] / r if k else 0.0

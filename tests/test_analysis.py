@@ -9,6 +9,7 @@ import pytest
 from platoon_lab import (
     ConfigError,
     PlatoonConfig,
+    Polynomial,
     RationalTF,
     direct_response,
     frequency_series,
@@ -33,7 +34,8 @@ from platoon_lab.analysis import (
     _prepared,
     write_freq_csv,
 )
-from platoon_lab.blockpeak import _min_block_modulus, _quotient, _ratio_at
+from platoon_lab.blockpeak import _min_block_modulus, _quotient, _stable_gains
+from platoon_lab.numerics import _axis_pair
 from platoon_lab.platoon import _family_log_gains
 
 from conftest import (
@@ -48,6 +50,7 @@ from conftest import (
     make_block,
     make_cfg,
     near_axis,
+    poly_roots,
     rtf_eval,
 )
 
@@ -154,6 +157,32 @@ class TestBlockStable:
     ])
     def test_threshold_holds_at_poles_near_the_axis(self, cfg, stable):
         assert _prepared(cfg).all_stable is stable
+
+    @pytest.mark.parametrize("cfg", [make_cfg(20), *map(near_axis, (5e-10, 2e-9, 1e-3, 0.7)),
+                                     *map(crossing_near_one, (5e-10, 2e-9, 0.3))])
+    def test_every_crossing_gain_moves_a_root_across_the_threshold(self, cfg):
+        # at each end t a root lies on -1e-9 to 2e-7 of its modulus, not 1e-8: t is a double, and
+        # half an ulp of t ~ 1 moves a root of 1e-9 by 1.1e-7 of itself.  A companion solve resolves
+        # such a root beside one of 0.7 only to ~1e-7 of itself, so the two sides of each end are
+        # compared 1e-6 (relative) away from it: they differ in the roots left of -1e-9, and each
+        # side's classified verdict is the roots'
+        M = open_loop(cfg)
+        scale, ends, verdicts = _stable_gains(M)
+        den, num = np.asarray(M.den.coeffs), np.asarray(M.num.coeffs)
+        assert ends
+        for k, t in enumerate(ends):
+            roots = []
+            for side in (1 - 1e-6, 1.0, 1 + 1e-6):
+                row = np.zeros(max(den.size, num.size))
+                row[:den.size] = den
+                row[:num.size] += t * side / scale * num
+                roots.append(np.array(poly_roots(Polynomial(tuple(row)))))
+            below, at, above = roots
+            assert np.min(np.abs(at.real + 1e-9) / np.abs(at)) <= 2e-7
+            left = [r.real < -1e-9 for r in (below, above)]
+            assert left[0].sum() != left[1].sum()
+            for verdict, side in zip(verdicts[k:k + 2], left):
+                assert verdict in (None, bool(side.all()))
 
 
 class TestProductResponse:
@@ -400,14 +429,13 @@ class TestBlockPeak:
         q[::3] = q[::3].real  # real divisors, and purely imaginary ones
         q[1::3] = 1j * q[1::3].imag
         assert np.array_equal(_quotient(p, q), [complex(a) / complex(b) for a, b in zip(p, q)])
-        with np.errstate(invalid="ignore"):  # as in _ratio_at, whose callers check finiteness
-            assert np.isnan(_quotient(np.array([1 + 1j]), np.array([0j]))).all()
+        assert np.isnan(_quotient(np.array([1 + 1j]), np.array([0j]))).all()  # unwarned
 
     def test_unit_dc_gain_is_exactly_one(self):
         # the correctly rounded Fiedler value at eps = 1, n = 10, for which numpy's complex
         # quotient lam/lam gives 1 - 2**-53
         lam = 0.027277393194555254
-        assert _ratio_at(np.array([lam]), np.array([lam, 1.0]), np.array([0.0]))[0] == 1.0
+        assert _quotient(*_axis_pair([lam], [lam, 1.0], [0.0]))[0] == 1.0
 
 
 class TestPublicApi:
@@ -535,10 +563,10 @@ class TestGammaSequence:
             assert p.zeta_min_lower is not None
             assert p.gamma >= p.zeta_min_lower ** (p.n - 1)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP Known defect: at n = 2 the product form's peak "
-                       "4.209417323741478 rounds below the block bound 4.209417323741479")
-    def test_block_bound_holds_at_two_vehicles(self):
-        (p,) = gamma_sequence(make_cfg(20, eps=0.5), [2])
+    @pytest.mark.parametrize("eps", [0.5, 1.0])
+    def test_block_bound_holds_at_two_vehicles(self, eps):
+        # one block, whose peak and modulus round apart: the order holds here, not by construction
+        (p,) = gamma_sequence(make_cfg(20, eps=eps), [2])
         assert p.zeta_min_lower is not None
         assert p.gamma >= p.zeta_min_lower ** (p.n - 1)
 

@@ -491,16 +491,28 @@ class TestEdgeLoops:
 class TestNonFiniteResponse:
     """A response that leaves double range is a config error (exit 2), not a traceback."""
 
-    WIDE = {"n": 20, "omega_band": [1e-3, 1e200]}  # Horner evaluation of M overflows
+    WIDE = {"n": 20, "omega_band": [1e-3, 1e200]}  # powers of omega beyond double range
 
-    def test_wide_band_gamma_exits_2(self, tmp_path, capsys):
+    def test_wide_band_gamma_equals_the_default_band(self, tmp_path, capsys):
+        # above omega = 1, M is evaluated in 1/(j*omega), so z = 1/M leaves double range as
+        # z = inf, where T = 0 (a RuntimeWarning would fail the test)
+        out = tmp_path / "out"
+        rows = []
+        for band in ([1e-3, 1e3], self.WIDE["omega_band"]):
+            path = write_doc(tmp_path, base_doc(**{**self.WIDE, "omega_band": band}))
+            assert cli.main(["gamma", "--config", path, "--n-min", "20", "--n-max", "20", "--out", str(out)]) == 0
+            rows.append(np.loadtxt(out, delimiter=",", skiprows=1))
+        assert "RuntimeWarning" not in capsys.readouterr().err
+        assert rows[0][0] == rows[1][0] == 20
+        assert rows[1][1:] == pytest.approx(rows[0][1:], rel=1e-12, abs=0.0)
+
+    def test_wide_band_freqresp_is_finite(self, tmp_path):
+        # the values below double range are exact zeros, whose -inf dB waits for a log-domain output
         path, out = write_doc(tmp_path, base_doc(**self.WIDE)), tmp_path / "out"
-        # the Horner overflow is reported once, as a config error; a RuntimeWarning would fail the test
-        assert cli.main(["gamma", "--config", path, "--n-min", "20", "--n-max", "20", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "config error: non-finite response at omega=9.94257" in err
-        assert "RuntimeWarning" not in err
-        assert not out.exists()
+        assert cli.main(["freqresp", "--config", path, "--out", str(out)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert rows.shape == (400, 4) and np.all(np.isfinite(rows[:, 1:3]))
+        assert np.count_nonzero(rows[:, 3] == -np.inf) == 375
 
     def test_wide_band_harmonic_equals_the_default_band(self, tmp_path):
         # the block peaks are closed-form and evaluated in 1/(j*omega) above

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from platoon_lab import ConfigError, PlatoonConfig, Polynomial, RationalTF, numerics, open_loop, poly_eval, zeta_min
+from platoon_lab import (ConfigError, PlatoonConfig, Polynomial, RationalTF, numerics, open_loop, poly_eval,
+                         product_response, zeta_min)
 from platoon_lab.blockpeak import _block_peaks
 from platoon_lab.numerics import companion_roots
+
+from conftest import make_cfg
 
 
 def tf_at(tf, s):
@@ -178,3 +181,51 @@ class TestGroups:
 
     def test_no_rows_give_no_groups(self):
         assert list(numerics._groups([])) == []
+
+
+class TestAxisPair:
+    """``numerics._axis_pair``, the one evaluator of a ratio of polynomials on the imaginary axis."""
+
+    README = open_loop(make_cfg(20))  # (3 + 43s + 110s^2) / (s^2 (1 + 2.9s + s^2))
+    LOOPS = [
+        README,
+        RationalTF((2.0, 3.0, 1.0), (1.0, 0.7, 3.0)),  # biproper
+        RationalTF((1.0, 2.0, 3.0, 0.5), (2.0, 1.0, 1.0)),  # improper: deg num > deg den
+    ]
+
+    @pytest.mark.parametrize("M", LOOPS, ids=["readme", "biproper", "improper"])
+    def test_matches_mpmath_on_the_same_floats(self, M):
+        mpmath = pytest.importorskip("mpmath")
+        w = np.array([1e-3, 0.5, 1.0, 2.0, 7.0, 1e3, 1e100, 1e150])
+        for p, q in ((M.num.coeffs, M.den.coeffs), (M.den.coeffs, M.num.coeffs)):  # M and z = 1/M
+            P, Q = numerics._axis_pair(p, q, w)
+            assert np.all(np.isfinite(P)) and np.all(np.isfinite(Q))
+            with mpmath.workdps(50):
+                for wk, got in zip(w.tolist(), (P / Q).tolist()):
+                    s = mpmath.mpc(0, wk)
+                    want = mpmath.polyval(p[::-1], s) / mpmath.polyval(q[::-1], s)
+                    assert abs(mpmath.mpc(got) - want) <= 1e-13 * abs(want), wk
+
+    def test_z_beyond_double_range_is_infinite_and_t_is_zero(self):
+        # z = 1/M ~ -omega**2/110 leaves double range: P stays finite and nonzero while Q underflows
+        w = np.array([1e160, 1e200, 1e300])
+        M = self.README
+        P, Q = numerics._axis_pair(M.den.coeffs, M.num.coeffs, w)
+        assert np.all(np.isfinite(P)) and np.all(P != 0) and np.all(np.isfinite(Q))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            assert not np.any(np.isfinite(P / Q))
+        assert np.all(product_response(make_cfg(20), w) == 0)  # a RuntimeWarning would fail the test
+
+    def test_up_to_one_it_is_horner_at_j_omega(self):
+        M, w = self.README, np.linspace(0.0, 1.0, 11)
+        P, Q = numerics._axis_pair(M.den.coeffs, M.num.coeffs, w)
+        assert np.array_equal(P, poly_eval(M.den, 1j * w)) and np.array_equal(Q, poly_eval(M.num, 1j * w))
+
+    def test_a_row_per_frequency_has_the_bits_of_its_row_alone(self):
+        rng = np.random.default_rng(26)
+        w = np.array([0.0, 0.3, 1.0, 4.0, 1e200])
+        num, den = rng.uniform(0.5, 2.0, (w.size, 3)), rng.uniform(0.5, 2.0, (w.size, 5))
+        P, Q = numerics._axis_pair(num, den, w)
+        for k in range(w.size):
+            alone = numerics._axis_pair(num[k], den[k], w[k:k + 1])
+            assert (P[k], Q[k]) == (alone[0][0], alone[1][0])
