@@ -26,7 +26,6 @@ from .platoon import ConfigError, PlatoonConfig, _check_fits, spectrum_report
 logger = logging.getLogger(__name__)
 
 _BLOCK_BYTES = 2 ** 16  # state bytes per block of steps
-_ROWS_PER_FORMAT = 16  # CSV rows per % operation
 _RK4_REAL_BOUND = 2.785  # classic RK4 is stable on the real axis for h*lam in [-2.785, 0]
 
 
@@ -77,7 +76,9 @@ class TimeSeries:
     positions: np.ndarray  # shape (len(times), n-1)
 
     def write_csv(self, fh) -> None:
-        write_csv(fh, [(self.times, self.positions)])
+        rows = max(1, _BLOCK_BYTES // (8 * (1 + self.positions.shape[1])))  # at most _BLOCK_BYTES of values a block
+        write_csv(fh, ((self.times[i:i + rows], self.positions[i:i + rows])
+                       for i in range(0, len(self.times) or 1, rows)))  # an empty series still gets its header
 
 
 def write_csv(fh, blocks) -> None:
@@ -88,10 +89,8 @@ def write_csv(fh, blocks) -> None:
             n_veh = positions.shape[1]
             fh.write("t," + ",".join(f"pos_{i + 2}" for i in range(n_veh)) + "\n")
             row = "%.17g," + ",".join(["%.17g"] * n_veh) + "\n"
-        for i in range(0, len(times), _ROWS_PER_FORMAT):
-            r = slice(i, i + _ROWS_PER_FORMAT)
-            values = np.column_stack((times[r], positions[r]))
-            fh.write(row * len(values) % tuple(values.ravel().tolist()))
+        values = np.column_stack((times, positions))  # one % operation per block
+        fh.write(row * len(values) % tuple(values.ravel().tolist()))
 
 
 class _Poles(NamedTuple):
@@ -169,7 +168,7 @@ def _propagator(ab, B, h):
     ``ab`` is the read-only band storage of
     :func:`analysis._oracle_realization`: A has lower bandwidth 2m-1 and
     upper bandwidth m (m = len(ab) / 3), and T is a quartic in A, so column j of T is zero outside rows j-4m ..
-    j+4(2m-1): TB is T in LAPACK band storage, T[i, j] = TB[4m + i - j, j].
+    j+4(2m-1): TB is T in LAPACK band storage, T[i, j] = TB[4m + i - j, j], whose outer rows may be all zero.
     Columns W = 12m-3 apart never share a row at any RK4 stage, so one step
     on the sum of every W-th unit vector gives all of their columns at once,
     bit for bit the one-column build (Curtis, Powell & Reid, 1974), as
@@ -193,9 +192,12 @@ def stream(sc: SimScenario):
 
     The checks run before this returns; ``blocks`` then yields (times,
     positions) row blocks, row 0 first.  Each step is x <- T x + G w,
-    w = (u(t), u(t+h/2), u(t+h)): one ``dgbmv`` with the banded T of
-    :func:`_propagator`, built from the cached realization of
-    :func:`analysis._oracle_realization`, into a row of ``w @ G.T``.  The
+    w = (u(t), u(t+h/2), u(t+h)): one ``dgbmv`` into a row of ``w @ G.T``
+    on the nonzero diagonals of the banded T of :func:`_propagator` (built
+    from the cached realization of :func:`analysis._oracle_realization`),
+    copied once into the column-major order that the BLAS wrapper would
+    otherwise copy T into on every call; the diagonals left out are exact
+    zeros, so the states are bit for bit those of the whole band.  The
     leader signal is sampled and the positions ``X.reshape(-1, m) @ c`` (c
     the open loop's output row) are read once per block of about 64 KiB of
     states, so memory is linear in the state.
@@ -243,9 +245,12 @@ def stream(sc: SimScenario):
 
     def blocks():
         TB, G = _propagator(ab, B, h)
-        if nn < 12:  # zero vehicles: dgbmv needs 12m-3 rows
-            pad = ((0, 0), (0, m * (12 - nn)))
-            TB, G = np.pad(TB, pad), np.pad(G, pad[::-1])
+        top, bottom = np.flatnonzero(TB.any(axis=1))[[0, -1]]  # T's outermost nonzero diagonals
+        ku, kl = int(4 * m - top), int(bottom - 4 * m)
+        # zero vehicles make up the kl + ku + 1 rows that scipy's dgbmv wants, and at least 2 (w @ G.T of one
+        # state is a matrix-vector product, which rounds differently)
+        pad = ((0, 0), (0, m * max(0, math.ceil(max(2, kl + ku + 1) / m) - nn)))
+        TB, G = np.asfortranarray(np.pad(TB[top:bottom + 1], pad)), np.pad(G, pad[::-1])  # f2py copies C order per call
         d = TB.shape[1]
         rows, x = max(1, _BLOCK_BYTES // (8 * d)), np.zeros(d)
         yield np.zeros(1), (x.reshape(-1, m) @ c)[None, :nn]
@@ -256,7 +261,7 @@ def stream(sc: SimScenario):
                 X = np.stack([u(t), u(t + 0.5 * h), u(t + h)], axis=1) @ G.T  # GW, then the states
                 for y in X:
                     # positional incx, offx, beta, y, incy, offy, trans, overwrite_y: keywords cost 1-3 us a call
-                    x = dgbmv(d, d, 8 * m - 4, 4 * m, 1.0, TB, x, 1, 0, 1.0, y, 1, 0, 0, 1)
+                    x = dgbmv(d, d, kl, ku, 1.0, TB, x, 1, 0, 1.0, y, 1, 0, 0, 1)
                 positions = (X.reshape(-1, m) @ c).reshape(len(t), -1)[:, :nn]
             if not np.all(np.isfinite(x)):  # non-finite values persist, so the last state shows them
                 raise ConfigError(f"integration diverged before t={h * (k[-1] + 1):g}: dt={h} is too large "

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,16 @@ def banded_matrix(ab, upper):
         j = np.arange(max(k, 0), min(dim, dim + k))
         A[j - k, j] = band[j]
     return A
+
+
+def f_string_csv(ts):
+    """Reference CSV writer: one f-string per value, joined per row."""
+    fh = io.StringIO()
+    n_veh = ts.positions.shape[1]
+    fh.write("t," + ",".join(f"pos_{i + 2}" for i in range(n_veh)) + "\n")
+    for t, row in zip(ts.times, ts.positions):
+        fh.write(f"{t:.17g}," + ",".join(f"{x:.17g}" for x in row) + "\n")
+    return fh.getvalue()
 
 
 def dense_reduced_eigs(cfg):

@@ -12,7 +12,7 @@ import platoon_lab
 from platoon_lab import analysis, blockpeak, cli, platoon, sim
 from platoon_lab.analysis import _prepared, direct_response
 
-from conftest import make_cfg
+from conftest import f_string_csv, make_cfg
 
 
 def base_doc(**overrides):
@@ -341,8 +341,8 @@ class TestCmdStep:
         assert np.all(np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)))
 
     def test_streamed_csv_equals_simulate_and_write_csv(self, tmp_path, monkeypatch):
-        # n = 30 and 2500 steps: several blocks of steps, and blocks that are
-        # not a multiple of the rows per format operation
+        # n = 30 and 2500 steps: several blocks of steps, the last one partial,
+        # and the whole series written in blocks of its own
         doc = base_doc(n=30)
         path, out = write_doc(tmp_path, doc), tmp_path / "step.csv"
         writes = []
@@ -360,6 +360,18 @@ class TestCmdStep:
         ts.write_csv(fh)
         assert len(writes) == 2  # the stream and the whole series share one row formatter
         assert out.read_text() == fh.getvalue() and len(ts.times) == 2501
+
+    @pytest.mark.parametrize("n, t_end", [(20, 4.0), (100, 1.0)])
+    def test_file_and_stdout_equal_the_reference_writer(self, tmp_path, capsys, n, t_end):
+        # 400 steps at n = 20 and 100 at n = 100: 3.7 and 5 blocks of steps
+        doc = base_doc(n=n)
+        path, out = write_doc(tmp_path, doc), tmp_path / "step.csv"
+        flags = ["--t-end", str(t_end), "--dt", "0.01"]
+        assert cli.main(["step", "--config", path, "--out", str(out), *flags]) == 0
+        assert cli.main(["step", "--config", path, *flags]) == 0
+        expect = f_string_csv(sim.simulate(sim.SimScenario(cfg=cli.parse_config(doc)[0],
+                                                           leader_signal=sim.StepSignal(1.0), t_end=t_end, dt=0.01)))
+        assert out.read_text() == expect and capsys.readouterr().out == expect
 
     def test_divergence_mid_stream_leaves_no_file(self, tmp_path, capsys):
         # the 1e301 numerator passes every check made before the first row is

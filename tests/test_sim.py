@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import dgbmv
 
 from platoon_lab import (
     ConfigError,
@@ -31,6 +32,7 @@ from conftest import (
     VEHICLE,
     banded_matrix,
     block_stable,
+    f_string_csv,
     kron_state_space,
     make_block,
     make_cfg,
@@ -89,14 +91,26 @@ def column_propagator(ab, B, h):
     return T, G
 
 
-def f_string_csv(ts):
-    """Reference CSV writer: one f-string per value, joined per row."""
-    fh = io.StringIO()
-    n_veh = ts.positions.shape[1]
-    fh.write("t," + ",".join(f"pos_{i + 2}" for i in range(n_veh)) + "\n")
-    for t, row in zip(ts.times, ts.positions):
-        fh.write(f"{t:.17g}," + ",".join(f"{x:.17g}" for x in row) + "\n")
-    return fh.getvalue()
+def whole_band_loop(sc, rows):
+    """Reference: the first ``rows`` output rows of x <- T x + G w, one ``dgbmv`` a step on every band row.
+
+    T is :func:`sim._propagator`'s band of 12m - 3 rows, kl = 8m - 4 and
+    ku = 4m, with the state padded to 12 vehicles when it has fewer rows.
+    """
+    cfg, h = sc.cfg, sc.dt
+    (ab, B), c = banded_realization(cfg), _oracle_realization(cfg)[1]
+    m, nn = c.size, cfg.n - 1
+    TB, G = sim._propagator(ab, B, h)
+    pad = m * max(0, 12 - nn)
+    TB, G = np.pad(TB, ((0, 0), (0, pad))), np.pad(G, ((0, pad), (0, 0)))
+    d = TB.shape[1]
+    t, u = h * np.arange(rows - 1), sc.leader_signal.value
+    X = np.stack([u(t), u(t + 0.5 * h), u(t + h)], axis=1) @ G.T  # GW, then the states
+    x = np.zeros(d)
+    for y in X:
+        x = dgbmv(d, d, 8 * m - 4, 4 * m, 1.0, TB, x, beta=1.0, y=y, overwrite_y=1)
+    X = np.vstack([np.zeros(d), X])
+    return h * np.arange(rows), (X.reshape(-1, m) @ c).reshape(rows, -1)[:, :nn]
 
 
 class TestBuildStateSpace:
@@ -312,6 +326,54 @@ class TestSimulate:
         monkeypatch.setattr(sim, "_rk4_step", spy)
         sim._propagator(*banded_realization(make_cfg(100)), 0.01)  # m = 4, d = 396
         assert len(calls) <= 12 * 4 - 3 + 3
+
+    def test_dgbmv_gets_the_trimmed_fortran_band(self, monkeypatch):
+        calls = []
+
+        def spy(d, n, kl, ku, alpha, a, *args):
+            calls.append((d, kl, ku, a))
+            return dgbmv(d, n, kl, ku, alpha, a, *args)
+
+        monkeypatch.setattr(sim, "dgbmv", spy)
+        # the README loop (m = 4), whose band rows 8..27 of 45 are nonzero, and
+        # platoons of 2 and 3 vehicles, whose bands are taller than their states
+        for n, rows, kl, ku in ((20, 20, 11, 8), (2, 7, 3, 3), (3, 14, 7, 6)):
+            cfg = make_cfg(n)
+            calls.clear()
+            simulate(SimScenario(cfg=cfg, leader_signal=StepSignal(1.0), t_end=0.5, dt=0.01))
+            TB, _ = sim._propagator(*banded_realization(cfg), 0.01)
+            assert len(calls) == 50
+            for d, *bandwidths, a in calls:
+                assert a.flags.f_contiguous and (a.shape[0], *bandwidths) == (rows, kl, ku)
+                assert a[0].any() and a[-1].any() and rows <= d and d % 4 == 0
+                assert np.array_equal(a[:, :4 * (n - 1)], TB[16 - ku:17 + kl])
+                assert not a[:, 4 * (n - 1):].any()  # the zero vehicles
+
+    def test_equals_whole_band_loop_bitwise(self):
+        # seeded open loops of order 1 to 4 with numerators of full and
+        # reduced degree, step and sine leaders, and the unstable loop whose
+        # horizon is capped at 205 of 100 000 steps
+        rng = np.random.default_rng(27)
+        cases = [(make_cfg(3, controller=BAD_CONTROLLER), StepSignal(1.0), 500.0, 0.005),
+                 (make_cfg(20), SineSignal(-0.8, 2.1), 3.0, 0.01)]
+        for k, n in enumerate((2, 3, 4, 6, 9, 12, 13, 17, 25, 31, 40, 40)):
+            m = int(rng.integers(1, 5))
+            num_degree = m - 1 if k % 2 else int(rng.integers(0, m))
+            vehicle = RationalTF(num=tuple(rng.uniform(0.2, 2.0, num_degree + 1)),
+                                 den=tuple(rng.uniform(0.5, 3.0, m)) + (1.0,))
+            cfg = PlatoonConfig(n=n, gains=tuple(rng.uniform(0.3, 3.0, n - 1)),
+                                asymmetries=tuple(rng.uniform(0.0, 1.2, n - 1)),
+                                vehicle=vehicle, controller=RationalTF((1.0,), (1.0,)))
+            signal = SineSignal(float(rng.uniform(-2.0, 2.0)), float(rng.uniform(0.1, 3.0))) if k % 3 == 0 \
+                else StepSignal(float(rng.uniform(-2.0, 2.0)))
+            dt = min(0.01, 0.5 * (dt_limit(cfg) or 1.0))
+            cases.append((cfg, signal, 300 * dt, dt))
+        for cfg, signal, t_end, dt in cases:
+            sc = SimScenario(cfg=cfg, leader_signal=signal, t_end=t_end, dt=dt)
+            ts = simulate(sc)
+            times, positions = whole_band_loop(sc, len(ts.times))
+            assert ts.times.tobytes() == times.tobytes() and ts.positions.tobytes() == positions.tobytes()
+        assert len(simulate(SimScenario(*cases[0])).times) == 206
 
     def test_stream_memory_is_linear_in_the_state(self):
         # d = 3996 over 10^4 steps: a dense T alone would take 128 MB and the
