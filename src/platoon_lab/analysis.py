@@ -315,8 +315,9 @@ def gamma_sequence(template: PlatoonConfig, n_list,
 
     Each point is bit for bit :func:`peaksearch.hinf_norm` of :func:`product_response`
     and :func:`zeta_min` for its size, and a sweep raises the first error a
-    loop over the sizes would.  The scans come from one continuant pass
-    (:func:`platoon._family_log_gains`), or, where it is NaN, from the product.
+    loop over the sizes would.  The scans come from the continuant
+    (:func:`platoon._family_log_gains`: its closed form for a uniform rule,
+    one pivot pass for any other), or, where a row is NaN, from the product.
     In the runs of :func:`numerics._groups` over the sizes' eigenvalues, the
     Brent searches run in lockstep and the block peaks are one stacked solve.
     """

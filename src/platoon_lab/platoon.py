@@ -11,7 +11,8 @@ is carried as its (sub, diag, sup) bands, so memory stays linear in ``n``;
 :func:`build_laplacian` is the dense reference.  A template's repeating
 gain/asymmetry rule instantiates a family of platoons, one per size, whose
 reduced Laplacians share their leading blocks; one continuant pass over the
-largest member's bands gives the platoon gain of every member on a
+largest member's bands, or for a rule of one gain and one asymmetry the
+continuant's closed form, gives the platoon gain of every member on a
 frequency grid.
 """
 
@@ -320,10 +321,8 @@ def instantiate_family(template: PlatoonConfig, n: int) -> PlatoonConfig:
     part of the rule, so it is excluded from the cycle whenever the template
     has more than one follower.
     """
-    gain_rule = template.gains
-    asym_rule = template.asymmetries[:-1] if len(template.asymmetries) > 1 else template.asymmetries
-    gains = tuple(itertools.islice(itertools.cycle(gain_rule), n - 1))
-    asym = tuple(itertools.islice(itertools.cycle(asym_rule), n - 1))
+    gains = tuple(itertools.islice(itertools.cycle(template.gains), n - 1))
+    asym = tuple(itertools.islice(itertools.cycle(template.asymmetries[:-1] or template.asymmetries), n - 1))
     return PlatoonConfig(
         n=n,
         gains=gains,
@@ -334,29 +333,32 @@ def instantiate_family(template: PlatoonConfig, n: int) -> PlatoonConfig:
 
 
 def _family_log_gains(template: PlatoonConfig, sizes, den: np.ndarray, num: np.ndarray) -> dict[int, np.ndarray]:
-    """log|T_n| at each scan frequency for every size n in ``sizes``, from one continuant pass.
+    """log|T_n| at each scan frequency for every size n >= 2 in ``sizes``.
 
     ``den`` and ``num`` are the pair of :func:`numerics._axis_pair` whose
     ratio is z = 1/M at the scan frequencies.  T_n = det R_n /
     (mu_2 * det(R_n + zI)) is the block product
     (1/mu_2) * prod_i lam_i / (lam_i + z) of the family member of size n
-    (:func:`instantiate_family`).  Its R_n is the leading block of the
-    largest member's R_N except for the last diagonal entry, which is that
-    size's own gain mu_n (the trailing vehicle has no follower).  So the
-    pivots r_k = (d_k + z) - (sub*sup)_{k-1} / r_{k-1} of R_N + zI run once,
-    summing one real log|r_k| per step, and each n closes its determinant
-    with mu_n in place of the diagonal entry d_{n-2} (counted from 0).  A
-    column at z = 0 gives log det R_n.  The pass takes O(N * F) time and
-    O(F) memory for F frequencies, plus one row per size.
+    (:func:`instantiate_family`).  A rule of one gain and one asymmetry takes
+    the closed form (:func:`_uniform_log_gains`, O(F) per size for F
+    frequencies), any other one pivot pass (:func:`_pivot_log_gains`,
+    O(N * F)).  As in the block product, T is 0 (the row -inf) where z is not
+    finite and den != 0; the row is NaN at an axis pole, den = num = 0, and
+    where det(R_n + zI) is zero or not finite.  No floating-point warning.
+    """
+    uniform = len(set(template.gains)) == len(set(template.asymmetries[:-1] or template.asymmetries)) == 1
+    return (_uniform_log_gains if uniform else _pivot_log_gains)(template, sizes, den, num)
 
-    As in the block product, T is 0 (the row -inf) where z = den/num is not
-    finite, and the row is NaN at an axis pole, den = num = 0.  It is NaN
-    where the pass breaks down, from that step on: at a pivot that is exactly
-    zero (the last one is a closed-loop pole on the imaginary axis) or not
-    finite.  Such a pivot's log|r| is -inf, inf or NaN, which leaves the
-    running sum non-finite for good, so the sums are taken unmasked and a
-    size's sum is set to NaN only where it is not finite when that size
-    closes.  The pass emits no floating-point warning.
+
+def _pivot_log_gains(template: PlatoonConfig, sizes, den: np.ndarray, num: np.ndarray) -> dict[int, np.ndarray]:
+    """:func:`_family_log_gains` by one continuant pass over the largest member's bands.
+
+    R_n is the leading block of R_N but for its last diagonal entry, the
+    gain mu_n (the trailing vehicle has no follower).  So the pivots
+    r_k = (d_k + z) - (sub*sup)_{k-1} / r_{k-1} of R_N + zI run once, summing
+    log|r_k|, and each n closes with mu_n in place of d_{n-2}; a column at
+    z = 0 gives log det R_n.  A zero or non-finite pivot leaves the sum
+    non-finite for good, so sums run unmasked and turn NaN as a size closes.
     """
     wanted = set(sizes)  # a size below 2 closes no determinant and gets no row
     n_max = max(wanted)
@@ -378,3 +380,55 @@ def _family_log_gains(template: PlatoonConfig, sizes, den: np.ndarray, num: np.n
                 r = (zs + diag[k]) - t
                 acc += np.log(np.abs(r))
     return rows
+
+
+def _uniform_log_gains(template: PlatoonConfig, sizes, den: np.ndarray, num: np.ndarray) -> dict[int, np.ndarray]:
+    """:func:`_family_log_gains` for a one-gain, one-asymmetry rule, in O(F) per size.
+
+    R_m + zI (m = n - 1) is tridiagonal Toeplitz (diagonal d + z, off-diagonal
+    product bc, from the bands as in the pass) but for its last entry mu + z.
+    With r the larger root of r**2 - (d + z) r + bc and rho = bc / r**2,
+    det(R_m + zI) = r**m * (1 + (mu + z - r) / r * S_m), S_m = 1 + ... +
+    rho**(m-1) (Schmidt & Spitzer, Math. Scand. 1960), and det R_m = mu**m:
+    the path's one spanning arborescence.  Sizes run ascending, carrying
+    rho**m and S_m by :func:`_geometric`.
+    """
+    _, diag, sup = laplacian_bands(instantiate_family(template, 3))
+    mu, d, v = template.gains[0], diag[0], -sup[0]
+    bc, b = mu * v, math.sqrt(mu * v)  # sub * sup as in the pass
+    rows, m = {}, 0
+    with np.errstate(all="ignore"):  # a non-finite z or a zero determinant turns NaN
+        z = den / num
+        t_zero = ~np.isfinite(z) & (den != 0)
+        # sqrt(d - 2b + z) * sqrt(d + 2b + z), d - 2b = (sqrt(mu) - sqrt(v))**2: z keeps its low bits
+        root, w = np.sqrt(z + (mu - v) ** 2 / (d + 2.0 * b)) * np.sqrt(z + (d + 2.0 * b)), z + d
+        r = 0.5 * w + 0.5 * np.where(w.real * root.real + w.imag * root.imag < 0.0, -root, root)
+        rho, g, p = bc / r / r, math.log(mu) - np.log(np.abs(r)), (z + mu) / r - 1.0
+        del z, root, w, r  # the loop holds rho, g, t_zero and the carry: the sweep's peak memory
+        inner = np.ones_like(p)  # p = (mu + z - r) / r * rho**m and inner = 1 + (mu + z - r) / r * S_m
+        for n in sorted(n for n in set(sizes) if n >= 2):
+            q, s = _geometric(rho, n - 1 - m)
+            s *= p
+            inner += s
+            p *= q
+            del q, s
+            m = n - 1
+            row = m * g - np.log(mu * np.abs(inner))
+            row[~np.isfinite(row)] = np.nan
+            row[t_zero] = -np.inf
+            rows[n] = row
+    return rows
+
+
+def _geometric(rho, k: int):
+    """(rho**k, S_k = 1 + rho + ... + rho**(k-1)) for k >= 1, by S_2j = S_j * (1 + rho**j) and
+    S_(2j+1) = S_2j + rho**2j: no step cancels near the double root rho = 1 (eps = 1 at low frequency)."""
+    if k == 1:
+        return rho, 1.0
+    q, s = _geometric(rho, k // 2)
+    s *= q + 1.0  # in place: three arrays at most, the sweep's peak memory
+    q = q * q
+    if k % 2:
+        s += q
+        q *= rho
+    return q, s

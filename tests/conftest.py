@@ -176,3 +176,30 @@ def sturm_fiedler(cfg, dps=40):
             mid = (lo + hi) / 2
             lo, hi = (lo, mid) if below(mid) else (mid, hi)
         return float((lo + hi) / 2)
+
+
+def continuant_log_gain(cfg, omegas, dps=60):
+    """Independent oracle of the scan: log|T(j omega)| from the exact gains and asymmetries in ``dps``-digit mpmath.
+
+    T = det R / (mu_2 det(R + zI)) with z = 1/M from the open loop's
+    coefficients.  det R is the product of the gains (each follower's link to
+    its predecessor is the path's one spanning arborescence), and
+    det(R + zI) is the tridiagonal continuant D_k = (d_k + z) D_{k-1} -
+    mu_k mu_{k-1} eps_{k-1} D_{k-2} of the matrix taken from (mu, eps), not
+    from the float bands.
+    """
+    import mpmath
+
+    M = open_loop(cfg)
+    with mpmath.workdps(dps):
+        mu, eps = [mpmath.mpf(g) for g in cfg.gains], [mpmath.mpf(e) for e in cfg.asymmetries]
+        out = []
+        for w in omegas:
+            s = mpmath.mpc(0, mpmath.mpf(float(w)))
+            z = (mpmath.polyval([mpmath.mpf(c) for c in M.den.coeffs[::-1]], s)
+                 / mpmath.polyval([mpmath.mpf(c) for c in M.num.coeffs[::-1]], s))
+            prev, det = 0, 1
+            for k in range(len(mu)):
+                prev, det = det, (mu[k] * (1 + eps[k]) + z) * det - (mu[k] * mu[k - 1] * eps[k - 1] * prev if k else 0)
+            out.append(float(mpmath.log(mpmath.fprod(mu)) - mpmath.log(abs(det)) - mpmath.log(mu[0])))
+    return np.array(out)

@@ -25,7 +25,7 @@ from platoon_lab import (
     verify_eigen_identities,
     zeta_min,
 )
-from platoon_lab import analysis
+from platoon_lab import analysis, platoon
 from platoon_lab.analysis import (
     HARMONICALLY_UNSTABLE,
     TEST_INCONCLUSIVE,
@@ -44,6 +44,7 @@ from conftest import (
     VEHICLE,
     block_stable,
     closed_form_block_peak,
+    continuant_log_gain,
     crossing_near_one,
     grid_block_peak,
     kron_state_space,
@@ -714,6 +715,50 @@ class TestGammaSequence:
         best = max(pts, key=lambda p: p.gamma_root_n)
         assert best.n == 51
         assert best.gamma_root_n == pytest.approx(1.0162628, abs=1e-7)
+
+
+class PivotPassCalled(Exception):
+    pass
+
+
+class TestUniformFamilyScan:
+    """A one-gain, one-asymmetry template's scan comes from the continuant's closed form."""
+
+    @pytest.mark.parametrize("mu, eps, n, tol", [
+        (1.0, 0.5, 200, 1e-12),
+        (1.0, 0.5, 1000, 1e-12),
+        (1.0, 1.0, 60, 1e-12),
+        # the double root at low frequency: forming d + z would cost z its low bits, 5.6e-12 here
+        (1.0, 1.0, 300, 1e-12),
+        # eps > 1: the float bands round mu + mu*eps, and the pass was off by 7.1e-3 and 3.6e-5 here
+        (0.987, 1.30, 113, 1e-8),
+        (0.980, 1.29, 99, 1e-8),
+    ])
+    def test_matches_the_exact_continuant(self, mu, eps, n, tol):
+        template = make_cfg(20, eps=eps, mu=mu)
+        omegas = np.logspace(-3.0, 1.5, 28)
+        M = open_loop(template)
+        rows = _family_log_gains(template, [n], *_axis_pair(M.den.coeffs, M.num.coeffs, omegas))
+        want = continuant_log_gain(instantiate_family(template, n), omegas)
+        assert np.max(np.abs(rows[n] - want)) <= tol
+
+    @pytest.fixture
+    def no_pivot_pass(self, monkeypatch):
+        def refuse(*args):
+            raise PivotPassCalled
+
+        monkeypatch.setattr(platoon, "_pivot_log_gains", refuse)
+
+    def test_uniform_template_skips_the_pivot_pass(self, no_pivot_pass):
+        (p,) = gamma_sequence(make_cfg(20, eps=0.5), [1000])
+        assert p.n == 1000 and math.isfinite(p.gamma)
+
+    def test_heterogeneous_template_takes_the_pivot_pass(self, no_pivot_pass):
+        rng = np.random.default_rng(2813)
+        template = PlatoonConfig(n=5, gains=rng.uniform(1.0, 2.0, 4), asymmetries=[*rng.uniform(0.2, 0.8, 3), 0.0],
+                                 vehicle=VEHICLE, controller=CONTROLLER)
+        with pytest.raises(PivotPassCalled):
+            gamma_sequence(template, [5, 10])
 
 
 def hinf_hamiltonian(A, b, c, tol=1e-14):

@@ -27,7 +27,7 @@ from platoon_lab import (  # noqa: E402
 from platoon_lab import numerics  # noqa: E402
 from platoon_lab.analysis import _prepared  # noqa: E402
 from platoon_lab.peaksearch import _scan_grid  # noqa: E402
-from platoon_lab.platoon import _family_log_gains  # noqa: E402
+from platoon_lab.platoon import _family_log_gains, _pivot_log_gains  # noqa: E402
 from platoon_lab.sim import _pole_pass  # noqa: E402
 
 from conftest import (  # noqa: E402
@@ -35,6 +35,7 @@ from conftest import (  # noqa: E402
     VEHICLE,
     block_stable,
     closed_form_block_peak,
+    continuant_log_gain,
     crossing_near_one,
     grid_block_peak,
     make_block,
@@ -288,6 +289,52 @@ def test_continuant_pass_matches_product_of_every_size(case):
         rep = spectrum_report(cfg)
         conditioning = 64 * np.finfo(float).eps * rep.gershgorin_upper * np.sum(1 / np.asarray(rep.eigenvalues))
         assert np.all(np.abs(rows[n][normal] - np.log(mags[normal])) <= 1e-10 + conditioning)
+
+
+def uniform_template(k, mu, eps):
+    return PlatoonConfig(n=k + 1, gains=[mu] * k, asymmetries=[eps] * k, vehicle=VEHICLE, controller=CONTROLLER)
+
+
+@st.composite
+def uniform_templates(draw):
+    """A benchmark-loop template whose rule of 2 or 3 followers has one gain in [0.1, 10] and one
+    asymmetry in [0, 2], and sizes up to 400, unsorted, the first one repeated at the end."""
+    template = uniform_template(draw(st.integers(2, 3)), draw(st.floats(0.1, 10.0)), draw(st.floats(0.0, 2.0)))
+    sizes = draw(st.lists(st.integers(2, 400), min_size=1, max_size=3))
+    return template, sizes + sizes[:1]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(uniform_templates())
+@example((uniform_template(2, 1.0, 0.0), [2, 400, 57, 2]))  # bc = 0: rho = 0
+@example((uniform_template(3, 1.0, 1.0), [400, 3, 60, 400]))  # the double root rho = 1 at z = 0
+@example((uniform_template(2, 0.987, 1.3), [113, 5, 300, 113]))
+def test_uniform_family_closed_form(case):
+    template, sizes = case
+    grid = np.logspace(-3.0, 3.0, 2000)
+    M = open_loop(template)
+    den, num = poly_eval(M.den, 1j * grid), poly_eval(M.num, 1j * grid)
+    rows = _family_log_gains(template, sizes, den, num)
+    assert set(rows) == set(sizes)
+    eps = template.asymmetries[0]
+    passed = _pivot_log_gains(template, sizes, den, num) if eps <= 1.0 else None
+    for n in set(sizes):
+        cfg = instantiate_family(template, n)
+        rep = spectrum_report(cfg)
+        u_norm = np.finfo(float).eps * rep.gershgorin_upper
+        conditioning = 64 * u_norm * np.sum(1 / np.abs(rep.eigenvalues))  # as in the continuant test above
+        # the product is an oracle only where every eigenvalue keeps a leading digit, which for eps > 1
+        # fails as the Fiedler value shrinks exponentially with n (ROADMAP, Known defects)
+        if rep.fiedler > 64 * u_norm:
+            mags = np.abs(product_response(cfg, grid))
+            normal = mags > 1e-290
+            assert np.all(np.abs(rows[n][normal] - np.log(mags[normal])) <= 1e-10 + conditioning)
+        if passed is not None:
+            # the pass rounds z into d + z at every pivot: the same conditioning bounds its own error
+            assert np.all(np.abs(rows[n] - passed[n]) <= 1e-11 * (1.0 + np.abs(passed[n])) + conditioning)
+        else:
+            omegas = grid[::250]
+            assert np.max(np.abs(rows[n][::250] - continuant_log_gain(cfg, omegas))) <= 1e-8
 
 
 @st.composite
